@@ -1,6 +1,6 @@
 # Convenience targets for the BB reproduction.
 
-.PHONY: install test test-fast coverage verify recover predict bench bench-smoke fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
+.PHONY: install test test-fast coverage verify recover predict bench bench-smoke perfbench-test fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
 
 PYTEST = PYTHONPATH=src python -m pytest
 
@@ -52,6 +52,13 @@ bench-smoke:
 	PYTHONPATH=src python -m repro bench --skip-sweep --events 50000 \
 		--checkpoint-cells 24 --branch-floor 1.8 --predict-floor 5 \
 		--out BENCH_smoke.json
+
+# The gating benchmark's own tests (perfbench/: seeded workloads, output
+# checks, the traced per-layer run).  The traced-run test fails when a
+# moved or renamed function breaks one of the tracer's by-name patch
+# points.  Needs only the standard library and pytest.
+perfbench-test:
+	python3 -m pytest perfbench/tests -q
 
 # CI-scale fleet campaign: 500 jobs through the async boot service
 # (TCP/JSON-lines, single-flight scheduler, auto-scaled worker shards),

@@ -390,15 +390,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                           skip_predict=args.skip_predict,
                           skip_fleet=args.skip_fleet)
     write_record(record, args.out)
-    queue = record["event_queue"]
-    print(f"event queue: {queue['optimized_events_per_sec']:,.0f} events/s "
-          f"(legacy {queue['legacy_events_per_sec']:,.0f}, "
-          f"speedup {queue['speedup']:.2f}x)")
-    cache = record["cache"]
-    print(f"result cache: {cache['optimized_roundtrips_per_sec']:,.0f} "
-          f"roundtrips/s (legacy deepcopy "
-          f"{cache['legacy_roundtrips_per_sec']:,.0f}, "
-          f"speedup {cache['speedup']:.2f}x)")
+    print(f"event queue: {record['event_queue']['events_per_sec']:,.0f} "
+          f"events/s")
+    print(f"result cache: {record['cache']['roundtrips_per_sec']:,.0f} "
+          f"roundtrips/s")
     failed = False
     if "checkpoint" in record:
         checkpoint = record["checkpoint"]
@@ -590,24 +585,18 @@ def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
     from repro.fleet import campaign
     from repro.fleet.client import RetryPolicy
 
-    if args.host is not None:
-        retry = RetryPolicy(retries=args.retries,
-                            backoff_base=args.backoff_base,
-                            seed=args.retry_seed)
-        try:
-            result = campaign.run_external(
-                args.host, args.port, smoke=args.smoke,
-                total_jobs=args.total_jobs,
-                cells_per_chunk=args.chunk_cells, retry=retry,
-                read_timeout=args.read_timeout)
-        except FleetError as exc:
-            raise SystemExit(f"campaign against {args.host}:{args.port} "
-                             f"failed: {exc}")
-    else:
+    retry = RetryPolicy(retries=args.retries, backoff_base=args.backoff_base,
+                        seed=args.retry_seed)
+    try:
         result = campaign.run(smoke=args.smoke, total_jobs=args.total_jobs,
                               max_workers=_resolve_jobs(args.max_workers),
                               batch_size=args.batch_size,
-                              journal_dir=args.journal)
+                              journal_dir=args.journal, host=args.host,
+                              port=args.port,
+                              cells_per_chunk=args.chunk_cells, retry=retry,
+                              read_timeout=args.read_timeout)
+    except FleetError as exc:
+        raise SystemExit(f"fleet campaign failed: {exc}")
     if args.json:
         import json
         document = {key: getattr(result, key) for key in (
@@ -1089,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "in external mode (default 1)")
     fleet_campaign.add_argument("--retries", type=int, default=8,
                                 help="client resubmission budget per "
-                                     "chunk in external mode (default 8)")
+                                     "submission (default 8)")
     fleet_campaign.add_argument("--backoff-base", type=float, default=0.1,
                                 help="first-retry backoff ceiling, "
                                      "seconds (default 0.1)")
@@ -1098,8 +1087,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "schedule (default: derived per "
                                      "client so a fleet decorrelates)")
     fleet_campaign.add_argument("--read-timeout", type=float, default=120.0,
-                                help="per-event read timeout in external "
-                                     "mode, seconds (default 120)")
+                                help="per-event read timeout, seconds "
+                                     "(default 120)")
     fleet_campaign.add_argument("--throughput-floor", type=float, default=0.0,
                                 help="fail (exit 1) below this many "
                                      "jobs/min (0 = report only)")

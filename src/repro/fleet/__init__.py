@@ -19,15 +19,14 @@ write-ahead job journal a restarted service resumes unfinished
 submissions from, and :class:`~repro.fleet.client.RetryPolicy` +
 :meth:`FleetClient.submit_with_retry` make clients ride out the restart.
 
-:mod:`repro.fleet.campaign` drives the whole stack: a 10k+-job device
-matrix streamed through the service and byte-compared against a serial
-replay (in-process, or against an external service with crash-safe
-chunked submission).  ``repro fleet serve|submit|status|campaign`` is
-the CLI.
+:func:`repro.fleet.campaign.run` (exported as :func:`run_campaign`)
+drives the whole stack: a 10k+-job device matrix streamed through an
+in-process service, or through an external one given ``host`` in
+crash-safe chunks, and compared ticket by ticket against a serial
+replay.  ``repro fleet serve|submit|status|campaign`` is the CLI.
 """
 
-from repro.fleet.campaign import (CampaignResult, build_specs,
-                                  canonical_campaign_bytes, run_external)
+from repro.fleet.campaign import CampaignResult, build_specs
 from repro.fleet.campaign import run as run_campaign
 from repro.fleet.client import (FleetClient, RetryPolicy,
                                 SubmissionOutcome, backoff_schedule)
@@ -53,9 +52,7 @@ __all__ = [
     "WorkerShard",
     "backoff_schedule",
     "build_specs",
-    "canonical_campaign_bytes",
     "job_from_spec",
     "run_campaign",
-    "run_external",
     "submission_key",
 ]

@@ -8,11 +8,15 @@ instead of one batch sweep.  The campaign:
 
 1. builds a device matrix (:func:`build_specs`) whose ``repeat`` counts
    model fleet popularity (one TV model ships millions of units),
-2. boots an in-process :class:`~repro.fleet.service.FleetService` on an
-   ephemeral port, submits everything over TCP, and streams results,
+2. submits it over TCP — to an in-process
+   :class:`~repro.fleet.service.FleetService` on an ephemeral port, or
+   to an already-running ``repro fleet serve`` in restart-survivable
+   chunks — and streams results,
 3. replays every **unique** job through a fresh serial
-   :class:`~repro.runner.sweep.SweepRunner` and byte-compares the
-   canonical encodings — the fleet-vs-serial identity oracle — and
+   :class:`~repro.runner.sweep.SweepRunner` and compares the stream
+   ticket by ticket, in submission order, against the canonical
+   encodings — the fleet-vs-serial identity oracle, which the
+   ``fleet-identity`` and ``fleet-crash`` verify groups both use — and
 4. reports sustained throughput (jobs/minute) for the floor gate in
    ``make fleet-smoke``.
 """
@@ -20,15 +24,13 @@ instead of one batch sweep.  The campaign:
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.report import format_table
 from repro.errors import FleetError
-from repro.fleet.client import FleetClient, RetryPolicy
+from repro.fleet.client import FleetClient, RetryPolicy, SubmissionOutcome
 from repro.fleet.resources import ResourcePolicy
 from repro.fleet.service import FleetService
 from repro.runner.branch import canonical_bytes
@@ -93,9 +95,11 @@ class CampaignResult:
         cache_hits: Tickets answered from the cache at submit time.
         coalesced: Tickets that rode an in-flight execution
             (single-flight dedup).
-        wall_s: Submit-to-done wall time.
+        wall_s: Wall time of the submissions (first submit to last
+            ``done``), excluding the serial replay.
         jobs_per_min: Sustained delivery throughput.
-        identical: Every fleet result byte-matched its serial replay.
+        identical: Every ticket, in submission order, carried the
+            expected fingerprint and byte-matched its serial replay.
         mismatches: Human-readable identity violations (empty = pass).
         serial_wall_s: Wall time of the serial replay of unique jobs.
         peak_workers: Largest shard count the pool reached.
@@ -134,171 +138,6 @@ class CampaignResult:
     quarantined: int = 0
 
 
-async def _run_campaign(specs: list[dict[str, Any]],
-                        policy: ResourcePolicy,
-                        batch_size: int,
-                        journal_dir: str | None = None
-                        ) -> tuple[Any, dict[str, Any]]:
-    service = FleetService(port=0, policy=policy, batch_size=batch_size,
-                           journal_dir=journal_dir)
-    host, port = await service.start()
-    try:
-        async with FleetClient(host, port) as client:
-            started = time.perf_counter()
-            outcome = await client.submit(specs)
-            wall_s = time.perf_counter() - started
-            status = await client.status()
-        await service.drain()
-        return (outcome, wall_s), status
-    finally:
-        if not service.draining:
-            await service.stop()
-
-
-def run(smoke: bool = False, total_jobs: int | None = None,
-        max_workers: int | None = None,
-        batch_size: int = 16,
-        journal_dir: str | None = None) -> CampaignResult:
-    """Run the campaign end to end; see :class:`CampaignResult`.
-
-    The identity oracle replays every unique fingerprint through a
-    fresh serial ``SweepRunner`` (separate caches, separate processes)
-    and compares canonical bytes against the streamed payloads.
-    """
-    from repro.runner.schedule import resolve_worker_count
-
-    specs = build_specs(smoke=smoke, total_jobs=total_jobs)
-    policy = ResourcePolicy(
-        min_workers=1,
-        max_workers=resolve_worker_count(max_workers))
-    (outcome, wall_s), status = asyncio.run(
-        _run_campaign(specs, policy, batch_size, journal_dir))
-
-    # ---------------------------------------------------- identity oracle
-    unique: dict[str, Any] = {}
-    for spec in specs:
-        job, _ = job_from_spec(spec)
-        unique.setdefault(job.fingerprint(), job)
-    serial_started = time.perf_counter()
-    with SweepRunner(jobs=1) as serial_runner:
-        serial_results = serial_runner.run(list(unique.values()))
-    serial_wall_s = time.perf_counter() - serial_started
-    serial_bytes = {fingerprint: canonical_bytes(result)
-                    for fingerprint, result
-                    in zip(unique, serial_results)}
-
-    mismatches: list[str] = []
-    for index, message in sorted(outcome.errors.items()):
-        mismatches.append(f"job {index}: streamed error: {message}")
-    for index, (fingerprint, payload) in enumerate(
-            zip(outcome.fingerprints, outcome.payloads)):
-        expected = serial_bytes.get(fingerprint)
-        if expected is None:
-            mismatches.append(f"job {index}: fleet fingerprint "
-                              f"{fingerprint[:12]} absent from the "
-                              f"serial replay")
-        elif payload != expected:
-            mismatches.append(f"job {index}: fleet payload differs from "
-                              f"the serial replay ({fingerprint[:12]})")
-    if len(outcome.payloads) != specs_expanded_total(specs):
-        mismatches.append(
-            f"delivered {len(outcome.payloads)} results for "
-            f"{specs_expanded_total(specs)} submitted jobs")
-
-    scheduler = status.get("scheduler", {})
-    pool = status.get("pool", {})
-    journal = status.get("journal", {})
-    resilience = status.get("resilience", {})
-    resumed = int(journal.get("resumed", 0))
-    retries = max(0, getattr(outcome, "attempts", 1) - 1)
-    return CampaignResult(
-        total_jobs=outcome.total,
-        unique_jobs=len(unique),
-        executed=int(scheduler.get("dispatched", 0)),
-        cache_hits=int(scheduler.get("cache_hits", 0)),
-        coalesced=int(scheduler.get("coalesced", 0)),
-        wall_s=wall_s,
-        jobs_per_min=(outcome.total / wall_s * 60.0) if wall_s else 0.0,
-        identical=not mismatches,
-        mismatches=mismatches,
-        serial_wall_s=serial_wall_s,
-        peak_workers=int(pool.get("peak_workers", 0)),
-        scaled_up=int(pool.get("scaled_up", 0)),
-        scaled_down=int(pool.get("scaled_down", 0)),
-        smoke=smoke,
-        status=status,
-        provenance="resumed" if (resumed or retries) else "fresh",
-        resumed_jobs=resumed,
-        client_retries=retries,
-        requeued=int(resilience.get("requeued", 0)),
-        quarantined=int(resilience.get("quarantined", 0)),
-    )
-
-
-def specs_expanded_total(specs: list[dict[str, Any]]) -> int:
-    """Total tickets a spec list expands to."""
-    return sum(spec.get("repeat", 1) for spec in specs)
-
-
-# ------------------------------------------------- canonical campaign report
-
-
-def campaign_report(total: int, fingerprints: list[str],
-                    payloads: list[bytes],
-                    errors: dict[Any, str]) -> dict[str, Any]:
-    """The campaign's result stream as a pure-data report document.
-
-    Per-ticket fingerprints plus sha256 of each canonical payload, in
-    submission order — everything that identifies *what the fleet
-    answered*, nothing that depends on *how* (timings, worker counts,
-    how many times the client had to retry).
-    """
-    return {
-        "total": total,
-        "jobs": [{"fingerprint": fingerprint,
-                  "payload_sha256": hashlib.sha256(payload).hexdigest()}
-                 for fingerprint, payload in zip(fingerprints, payloads)],
-        "errors": {str(key): value for key, value in sorted(
-            errors.items(), key=lambda item: str(item[0]))},
-    }
-
-
-def canonical_campaign_bytes(report: dict[str, Any]) -> bytes:
-    """Canonical encoding of :func:`campaign_report` for byte-identity."""
-    return json.dumps(report, sort_keys=True,
-                      separators=(",", ":")).encode("ascii")
-
-
-def serial_campaign_bytes(specs: list[dict[str, Any]]
-                          ) -> tuple[bytes, int]:
-    """Canonical report of an *uninterrupted serial* run of ``specs``.
-
-    This is the ground truth the ``fleet-crash`` verify group compares
-    a crashed-and-resumed campaign against: expand the specs in
-    submission order, run each unique fingerprint once through a fresh
-    serial :class:`~repro.runner.sweep.SweepRunner`, and canonicalize.
-    Returns ``(bytes, unique_job_count)``.
-    """
-    expanded: list[tuple[str, Any]] = []
-    unique: dict[str, Any] = {}
-    for spec in specs:
-        job, repeat = job_from_spec(spec)
-        fingerprint = job.fingerprint()
-        unique.setdefault(fingerprint, job)
-        expanded.extend([(fingerprint, job)] * repeat)
-    with SweepRunner(jobs=1) as runner:
-        results = runner.run(list(unique.values()))
-    by_fingerprint = {fingerprint: canonical_bytes(result)
-                      for fingerprint, result in zip(unique, results)}
-    fingerprints = [fingerprint for fingerprint, _ in expanded]
-    payloads = [by_fingerprint[fingerprint] for fingerprint in fingerprints]
-    report = campaign_report(len(expanded), fingerprints, payloads, {})
-    return canonical_campaign_bytes(report), len(unique)
-
-
-# ----------------------------------------------------- remote (client) mode
-
-
 def chunk_specs(specs: list[dict[str, Any]],
                 cells_per_chunk: int = 1) -> list[list[dict[str, Any]]]:
     """Split a spec list into per-submission chunks.
@@ -313,129 +152,72 @@ def chunk_specs(specs: list[dict[str, Any]],
             for index in range(0, len(specs), cells_per_chunk)]
 
 
-@dataclass(slots=True)
-class RemoteOutcome:
-    """A chunked campaign's aggregated stream, in submission order.
+def run(smoke: bool = False, total_jobs: int | None = None,
+        max_workers: int | None = None,
+        batch_size: int = 16,
+        journal_dir: str | None = None,
+        host: str | None = None, port: int = 7016,
+        cells_per_chunk: int = 1,
+        retry: RetryPolicy | None = None,
+        connect_timeout: float | None = 5.0,
+        read_timeout: float | None = None) -> CampaignResult:
+    """Run the campaign end to end; see :class:`CampaignResult`.
 
-    Attributes:
-        total: Tickets across all chunks (after ``repeat`` expansion).
-        fingerprints / payloads: Per ticket, submission order.
-        errors: Global-ticket-index (or ``"N:server"``) -> message.
-        attempts: Transport attempts summed over chunks (== number of
-            chunks when nothing ever failed).
-        chunks: Submissions made.
-        status: The service's final status snapshot (after the last
-            chunk; reflects the *surviving* process after a restart).
+    Without ``host`` the campaign starts an in-process
+    :class:`~repro.fleet.service.FleetService` (``max_workers``,
+    ``batch_size`` and ``journal_dir`` configure it) on an ephemeral
+    port and submits the whole matrix as one submission.  With ``host``
+    it drives an already-running ``repro fleet serve`` at
+    ``host:port`` in chunks of ``cells_per_chunk`` cells — the mode that
+    rides out a service crash and restart.  Either way each submission
+    goes through
+    :meth:`~repro.fleet.client.FleetClient.submit_with_retry` under a
+    stable ``campaign-N`` id, so a journaled service resumes what it
+    acked, the client resubmits what it never saw acked, and the
+    content-addressed cache makes both paths converge on identical
+    bytes.
+
+    The identity oracle then replays every unique fingerprint through a
+    fresh serial ``SweepRunner`` (separate caches, separate processes)
+    and compares the stream ticket by ticket, in submission order.
     """
+    from repro.runner.schedule import resolve_worker_count
 
-    total: int = 0
-    fingerprints: list[str] = field(default_factory=list)
-    payloads: list[bytes] = field(default_factory=list)
-    errors: dict[Any, str] = field(default_factory=dict)
-    attempts: int = 0
-    chunks: int = 0
-    status: dict[str, Any] = field(default_factory=dict)
-
-    def report(self) -> dict[str, Any]:
-        return campaign_report(self.total, self.fingerprints,
-                               self.payloads, self.errors)
-
-
-def run_remote(host: str, port: int,
-               chunks: list[list[dict[str, Any]]],
-               retry: RetryPolicy | None = None,
-               connect_timeout: float | None = 5.0,
-               read_timeout: float | None = None,
-               priority: int = 0) -> RemoteOutcome:
-    """Drive a chunked campaign against an *external* fleet service.
-
-    Each chunk keeps a stable ``campaign-N`` submission id across
-    retries, so a service restart mid-campaign is survived transparently:
-    the journaled service resumes what it acked, the client resubmits
-    what it never saw acked, and the content-addressed cache makes both
-    paths converge on identical bytes.
-    """
-    async def _run() -> RemoteOutcome:
-        outcome = RemoteOutcome()
-        client = FleetClient(host, port, connect_timeout=connect_timeout,
-                             read_timeout=read_timeout)
-        try:
-            for number, chunk in enumerate(chunks):
-                result = await client.submit_with_retry(
-                    chunk, priority=priority, sid=f"campaign-{number}",
-                    policy=retry)
-                base = len(outcome.payloads)
-                for offset, message in sorted(result.errors.items()):
-                    key = (f"{number}:server" if offset < 0
-                           else base + offset)
-                    outcome.errors[key] = message
-                outcome.total += result.total
-                outcome.fingerprints.extend(result.fingerprints)
-                outcome.payloads.extend(result.payloads)
-                outcome.attempts += result.attempts
-                outcome.chunks += 1
-            try:
-                outcome.status = await client.status()
-            except FleetError:
-                await client.close()
-                await client.connect()
-                outcome.status = await client.status()
-        finally:
-            await client.close()
-        return outcome
-    return asyncio.run(_run())
-
-
-def run_external(host: str, port: int, smoke: bool = False,
-                 total_jobs: int | None = None,
-                 cells_per_chunk: int = 1,
-                 retry: RetryPolicy | None = None,
-                 connect_timeout: float | None = 5.0,
-                 read_timeout: float | None = None) -> CampaignResult:
-    """The campaign against an already-running ``repro fleet serve``.
-
-    Same matrix and same serial identity oracle as :func:`run`, but
-    submitted in restart-survivable chunks through
-    :meth:`~repro.fleet.client.FleetClient.submit_with_retry` — this is
-    the mode that rides out a service crash + restart, and its result
-    carries the resumed-vs-fresh provenance.
-    """
     specs = build_specs(smoke=smoke, total_jobs=total_jobs)
-    chunks = chunk_specs(specs, cells_per_chunk)
-    started = time.perf_counter()
-    outcome = run_remote(host, port, chunks, retry=retry,
+    service = None
+    if host is None:
+        chunks = [specs]
+        service = FleetService(port=0, batch_size=batch_size,
+                               journal_dir=journal_dir,
+                               policy=ResourcePolicy(
+                                   min_workers=1,
+                                   max_workers=resolve_worker_count(
+                                       max_workers)))
+    else:
+        chunks = chunk_specs(specs, cells_per_chunk)
+    client = FleetClient(host or "127.0.0.1", port,
                          connect_timeout=connect_timeout,
                          read_timeout=read_timeout)
-    wall_s = time.perf_counter() - started
+    outcomes, wall_s, status = asyncio.run(
+        _stream(chunks, client, retry, service))
+    mismatches, unique_jobs, serial_wall_s = _compare_with_serial(
+        specs, outcomes)
 
-    serial_started = time.perf_counter()
-    expected, unique_jobs = serial_campaign_bytes(specs)
-    serial_wall_s = time.perf_counter() - serial_started
-    actual = canonical_campaign_bytes(outcome.report())
-    mismatches: list[str] = []
-    if actual != expected:
-        mismatches.append(
-            "campaign report is not byte-identical to the uninterrupted "
-            "serial run")
-    for key, message in sorted(outcome.errors.items(),
-                               key=lambda item: str(item[0])):
-        mismatches.append(f"job {key}: streamed error: {message}")
-
-    status = outcome.status
     scheduler = status.get("scheduler", {})
     pool = status.get("pool", {})
     journal = status.get("journal", {})
     resilience = status.get("resilience", {})
+    total = sum(outcome.total for outcome in outcomes)
     resumed = int(journal.get("resumed", 0))
-    retries = max(0, outcome.attempts - outcome.chunks)
+    retries = sum(outcome.attempts for outcome in outcomes) - len(outcomes)
     return CampaignResult(
-        total_jobs=outcome.total,
+        total_jobs=total,
         unique_jobs=unique_jobs,
         executed=int(scheduler.get("dispatched", 0)),
         cache_hits=int(scheduler.get("cache_hits", 0)),
         coalesced=int(scheduler.get("coalesced", 0)),
         wall_s=wall_s,
-        jobs_per_min=(outcome.total / wall_s * 60.0) if wall_s else 0.0,
+        jobs_per_min=(total / wall_s * 60.0) if wall_s else 0.0,
         identical=not mismatches,
         mismatches=mismatches,
         serial_wall_s=serial_wall_s,
@@ -450,6 +232,90 @@ def run_external(host: str, port: int, smoke: bool = False,
         requeued=int(resilience.get("requeued", 0)),
         quarantined=int(resilience.get("quarantined", 0)),
     )
+
+
+async def _stream(chunks: list[list[dict[str, Any]]], client: FleetClient,
+                  retry: RetryPolicy | None, service: FleetService | None
+                  ) -> tuple[list[SubmissionOutcome], float, dict[str, Any]]:
+    """Submit every chunk in order; returns ``(outcomes, wall_s, status)``.
+
+    ``wall_s`` times the submissions only.  An in-process ``service`` is
+    started first (the client is pointed at its ephemeral port) and
+    drained afterwards.
+    """
+    try:
+        if service is not None:
+            client.host, client.port = await service.start()
+        outcomes = []
+        started = time.perf_counter()
+        for number, chunk in enumerate(chunks):
+            outcomes.append(await client.submit_with_retry(
+                chunk, sid=f"campaign-{number}", policy=retry))
+        wall_s = time.perf_counter() - started
+        try:
+            status = await client.status()
+        except FleetError:
+            await client.close()
+            await client.connect()
+            status = await client.status()
+        await client.close()
+        if service is not None:
+            await service.drain()
+        return outcomes, wall_s, status
+    finally:
+        await client.close()
+        if service is not None and not service.draining:
+            await service.stop()
+
+
+def _compare_with_serial(specs: list[dict[str, Any]],
+                         outcomes: list[SubmissionOutcome]
+                         ) -> tuple[list[str], int, float]:
+    """The identity oracle; returns ``(mismatches, unique_jobs,
+    serial_wall_s)``.
+
+    Expands ``specs`` in submission order, runs each unique fingerprint
+    once through a fresh serial :class:`~repro.runner.sweep.SweepRunner`,
+    and requires ticket ``i`` of the concatenated stream to carry the
+    ``i``-th expected fingerprint and exactly its canonical bytes.
+    """
+    expected: list[str] = []
+    unique: dict[str, Any] = {}
+    for spec in specs:
+        job, repeat = job_from_spec(spec)
+        fingerprint = job.fingerprint()
+        unique.setdefault(fingerprint, job)
+        expected.extend([fingerprint] * repeat)
+    started = time.perf_counter()
+    with SweepRunner(jobs=1) as runner:
+        results = runner.run(list(unique.values()))
+    serial_wall_s = time.perf_counter() - started
+    serial = {fingerprint: canonical_bytes(result)
+              for fingerprint, result in zip(unique, results)}
+
+    mismatches: list[str] = []
+    fingerprints: list[str] = []
+    payloads: list[bytes] = []
+    for number, outcome in enumerate(outcomes):
+        for index, message in sorted(outcome.errors.items()):
+            where = (f"chunk {number}" if index < 0
+                     else f"job {len(payloads) + index}")
+            mismatches.append(f"{where}: streamed error: {message}")
+        fingerprints += outcome.fingerprints
+        payloads += outcome.payloads
+    acked = sum(outcome.total for outcome in outcomes)
+    if len(payloads) != len(expected) or acked != len(expected):
+        mismatches.append(f"delivered {len(payloads)} results ({acked} "
+                          f"acked) for {len(expected)} submitted jobs")
+    for index, (want, got, payload) in enumerate(
+            zip(expected, fingerprints, payloads)):
+        if got != want:
+            mismatches.append(f"job {index}: fleet fingerprint {got[:12]} "
+                              f"where the serial replay has {want[:12]}")
+        elif payload != serial[want]:
+            mismatches.append(f"job {index}: fleet payload differs from "
+                              f"the serial replay ({want[:12]})")
+    return mismatches, len(unique), serial_wall_s
 
 
 def render(result: CampaignResult) -> str:

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.canonical import canonical_json
 from repro.errors import JournalError
 
 #: File names inside a journal directory.
@@ -68,20 +69,15 @@ _CRC_HEX = 12
 # ------------------------------------------------------------- record codec
 
 
-def _canonical(document: dict[str, Any]) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
-
-
 def _crc(document: dict[str, Any]) -> str:
-    return hashlib.sha256(
-        _canonical(document).encode("utf-8")).hexdigest()[:_CRC_HEX]
+    return hashlib.sha256(canonical_json(document)).hexdigest()[:_CRC_HEX]
 
 
 def encode_record(record: dict[str, Any]) -> bytes:
     """One record -> one checksummed newline-terminated JSON line."""
     body = {key: value for key, value in record.items() if key != "crc"}
     body["crc"] = _crc(body)
-    return (_canonical(body) + "\n").encode("utf-8")
+    return canonical_json(body) + b"\n"
 
 
 def decode_record(line: bytes) -> dict[str, Any] | None:

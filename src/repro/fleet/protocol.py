@@ -51,6 +51,7 @@ import hashlib
 import json
 from typing import Any, Callable
 
+from repro.canonical import canonical_json
 from repro.core.config import BBConfig
 from repro.errors import ProtocolError
 from repro.runner.jobs import SimJob
@@ -71,8 +72,7 @@ _SPEC_KEYS = frozenset({"kind", "workload", "bb", "cores", "fault",
 
 def encode_frame(message: dict[str, Any]) -> bytes:
     """One message -> one newline-terminated JSON line."""
-    return json.dumps(message, separators=(",", ":"),
-                      sort_keys=True).encode() + b"\n"
+    return canonical_json(message) + b"\n"
 
 
 def decode_frame(line: bytes) -> dict[str, Any]:
@@ -82,6 +82,8 @@ def decode_frame(line: bytes) -> dict[str, Any]:
                             f"{MAX_FRAME_BYTES}-byte limit")
     try:
         message = json.loads(line)
+    except RecursionError as exc:
+        raise ProtocolError("frame nests too deeply to decode") from exc
     except ValueError as exc:
         raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
     if not isinstance(message, dict):
@@ -114,9 +116,8 @@ def submission_key(sid: str, specs: list[dict[str, Any]],
     different connections) still collapse only when they are genuinely
     the same work.
     """
-    body = json.dumps({"sid": sid, "specs": specs, "priority": priority},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+    body = canonical_json({"sid": sid, "specs": specs, "priority": priority})
+    return hashlib.sha256(body).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------- job specs
@@ -147,7 +148,7 @@ def _resolve_fault(value: Any) -> Any:
                             f"{{'preset': name, 'seed': int}}")
     from repro.faults import build_preset
     seed = value.get("seed", 1)
-    if not isinstance(seed, int):
+    if type(seed) is not int:  # bool is an int subclass; see job_from_spec
         raise ProtocolError(f"fault seed must be an int, got {seed!r}")
     try:
         return build_preset(value["preset"], seed=seed)
@@ -171,18 +172,23 @@ def job_from_spec(spec: dict[str, Any]) -> tuple[SimJob, int]:
         raise ProtocolError(f"unknown job spec keys: {sorted(unknown)}")
     kind = spec.get("kind", "boot")
     workload_name = spec.get("workload", "tv")
-    factory = WORKLOAD_FACTORIES.get(workload_name)
+    factory = (WORKLOAD_FACTORIES.get(workload_name)
+               if isinstance(workload_name, str) else None)
     if factory is None:
         raise ProtocolError(
             f"unknown workload {workload_name!r}; choose from "
             f"{', '.join(sorted(WORKLOAD_FACTORIES))}")
+    # ``type(x) is int``, not isinstance: JSON true/false decode to bool,
+    # and ``{"cores": true}`` would fingerprint apart from ``{"cores": 1}``.
     repeat = spec.get("repeat", 1)
-    if not isinstance(repeat, int) or repeat < 1:
+    if type(repeat) is not int or repeat < 1:
         raise ProtocolError(f"'repeat' must be an int >= 1, got {repeat!r}")
     cores = spec.get("cores")
-    if cores is not None and (not isinstance(cores, int) or cores < 1):
+    if cores is not None and (type(cores) is not int or cores < 1):
         raise ProtocolError(f"'cores' must be an int >= 1, got {cores!r}")
     label = spec.get("label", "")
+    if not isinstance(label, str):
+        raise ProtocolError(f"'label' must be a string, got {label!r}")
     plan = _resolve_fault(spec.get("fault"))
     if kind == "boot":
         job = SimJob.boot(factory, bb=_resolve_bb(spec.get("bb")),

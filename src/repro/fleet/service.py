@@ -386,6 +386,10 @@ class FleetService:
             batch = self.scheduler.next_batch(self.batch_size)
             if not batch:
                 break
+            # Claim the shard before its task first runs: an autoscale
+            # pass in between would otherwise retire the idle-looking
+            # shard, and the batch would die on a shut-down executor.
+            shard.busy = True
             task = asyncio.create_task(self._run_batch(shard, batch))
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
@@ -569,7 +573,7 @@ class FleetService:
         if not isinstance(specs, list) or not specs:
             raise protocol.ProtocolError("'jobs' must be a non-empty list")
         priority = message.get("priority", 0)
-        if not isinstance(priority, int):
+        if type(priority) is not int:  # bool is an int subclass
             raise protocol.ProtocolError(
                 f"'priority' must be an int, got {priority!r}")
         expanded: list[Any] = []
@@ -680,10 +684,8 @@ class FleetService:
 
 def _submission_id(line: bytes) -> str | None:
     """Best-effort submission id extraction for error frames."""
-    import json
     try:
-        message = json.loads(line)
-        value = message.get("id") if isinstance(message, dict) else None
-        return str(value) if value is not None else None
-    except ValueError:
+        value = protocol.decode_frame(line).get("id")
+    except protocol.ProtocolError:
         return None
+    return str(value) if value is not None else None

@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import FleetError
 from repro.fleet.resources import ProcessSampler, ResourcePolicy, ResourceSample
 from repro.runner.cache import ResultCache
 from repro.runner.jobs import SimJob
@@ -81,10 +80,12 @@ class WorkerShard:
         return 0
 
     async def run_batch(self, jobs: list[SimJob]) -> list[Any]:
-        """Execute ``jobs`` in the shard child; results positionally."""
-        if self.busy:
-            raise FleetError(f"shard {self.shard_id} is already running "
-                             f"a batch")
+        """Execute ``jobs`` in the shard child; results positionally.
+
+        The shard is busy until the batch ends.  A dispatcher marks it
+        busy already when it hands the batch over, so no scale-down
+        retires it before this coroutine first runs.
+        """
         self.busy = True
         loop = asyncio.get_running_loop()
         try:

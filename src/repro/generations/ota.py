@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 from typing import Any
 
 from repro.analysis.predict import predict_job
+from repro.canonical import canonical_json
 from repro.core.config import BBConfig
 from repro.errors import AnalysisError, GenerationError
 from repro.generations.slots import SlotState, check_slot_invariants
@@ -129,10 +129,6 @@ def judge_summary(summary: dict[str, Any], reference_ms: float,
     if boot_ms > threshold * reference_ms:
         return VERDICT_REGRESSION
     return VERDICT_HEALTHY
-
-
-def _spec_key(spec: dict[str, Any]) -> str:
-    return json.dumps(spec, sort_keys=True, separators=(",", ":"))
 
 
 def _corrupt_spec(target: Generation, update_seed: int) -> dict[str, Any]:
@@ -304,10 +300,10 @@ def run_rollout(store: GenerationStore, target: str = DEFAULT_REF,
         for wave_index, wave_devices in enumerate(wave_plan):
             if halted_after is not None:
                 break
-            plans: dict[str, str | None] = {}  # device -> spec key
+            plans: dict[str, bytes | None] = {}  # device -> spec key
             verdicts: dict[str, str] = {}
             specs: list[dict[str, Any]] = []
-            keys: list[str] = []
+            keys: list[bytes] = []
             for device in wave_devices:
                 update_fault = draw_update_fault(
                     update_seed, device, flash_rate, corrupt_rate)
@@ -324,7 +320,7 @@ def run_rollout(store: GenerationStore, target: str = DEFAULT_REF,
                     spec = _corrupt_spec(target_gen, update_seed)
                 else:
                     spec = target_gen.boot_spec()
-                key = _spec_key(spec)
+                key = canonical_json(spec)
                 if key not in keys:
                     keys.append(key)
                     specs.append(spec)
@@ -356,8 +352,8 @@ def run_rollout(store: GenerationStore, target: str = DEFAULT_REF,
                     state = state.boot_fail()
                 states[device] = state.rollback()
                 rollbacks += 1
-                corrupt = key == _spec_key(_corrupt_spec(target_gen,
-                                                         update_seed))
+                corrupt = key == canonical_json(_corrupt_spec(target_gen,
+                                                              update_seed))
                 job = _rollback_job(target_gen, baseline_gen, reference_ms,
                                     corrupt, update_seed)
                 fingerprint = job.fingerprint()
@@ -411,12 +407,6 @@ def run_rollout(store: GenerationStore, target: str = DEFAULT_REF,
         }
 
     return asyncio.run(_campaign())
-
-
-def canonical_report_bytes(report: dict[str, Any]) -> bytes:
-    """Byte-identity encoding for serial-vs-fleet comparisons."""
-    return json.dumps(report, sort_keys=True,
-                      separators=(",", ":")).encode("ascii")
 
 
 def render_rollout(report: dict[str, Any]) -> str:

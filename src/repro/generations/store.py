@@ -28,17 +28,12 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.analysis.schema import validate_generation_dict
+from repro.canonical import canonical_json
 from repro.core.config import BBConfig
 from repro.errors import GenerationError, SchemaError
 
 #: Default ref name, mirroring the git convention.
 DEFAULT_REF = "main"
-
-
-def canonical_generation_bytes(document: dict[str, Any]) -> bytes:
-    """The canonical encoding that gets fingerprinted and stored."""
-    return json.dumps(document, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True).encode("ascii")
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,7 +143,8 @@ class Generation:
         )
 
     def canonical_bytes(self) -> bytes:
-        return canonical_generation_bytes(self.to_dict())
+        """The canonical encoding that gets fingerprinted and stored."""
+        return canonical_json(self.to_dict())
 
     def fingerprint(self) -> str:
         """Content address: SHA-256 of the canonical document bytes."""

@@ -3,15 +3,11 @@
 Six measurements seed the repo's perf trajectory, recorded to
 ``BENCH_runner.json``:
 
-* **Engine microbenchmark** — events/second through the optimized
-  :class:`~repro.sim.events.EventQueue` versus a faithful copy of the
-  pre-optimization dataclass-ordered queue, on an identical deterministic
-  push/pop workload.  This keeps the hot-path speedup measurable forever,
-  not just in the PR that made it.
-* **Cache microbenchmark** — put+get round-trips of a real boot report
-  through the pickle-bytes :class:`~repro.runner.cache.ResultCache`
-  versus a faithful copy of the pre-optimization deepcopy-on-both-ends
-  cache.
+* **Engine microbenchmark** — events/second through the
+  :class:`~repro.sim.events.EventQueue` on a seeded deterministic
+  push/pop workload.
+* **Cache microbenchmark** — put+get round-trips/second of a real boot
+  report through the in-memory :class:`~repro.runner.cache.ResultCache`.
 * **Checkpoint benchmark** — cold-cache wall time of a 100+-cell
   late-phase fault matrix executed from scratch versus through the
   checkpoint/fork engine (:mod:`repro.runner.branch`), with a canonical
@@ -37,12 +33,9 @@ Six measurements seed the repo's perf trajectory, recorded to
 
 from __future__ import annotations
 
-import copy
-import heapq
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.runner.cache import ResultCache
 from repro.runner.jobs import code_version
@@ -51,59 +44,15 @@ from repro.sim.events import EventQueue
 
 
 # --------------------------------------------------------------------------
-# Legacy event queue (the pre-optimization implementation, kept verbatim as
-# the microbenchmark baseline).
-
-
-@dataclass(order=True, slots=True)
-class _LegacyScheduledEvent:
-    time_ns: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    executed: bool = field(default=False, compare=False)
-
-
-class _LegacyEventQueue:
-    """Dataclass-ordered heap, as shipped before the tuple-heap rewrite."""
-
-    def __init__(self) -> None:
-        self._heap: list[_LegacyScheduledEvent] = []
-        self._seq = 0
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def push(self, time_ns: int, callback: Callable[[], None]) -> _LegacyScheduledEvent:
-        event = _LegacyScheduledEvent(time_ns=time_ns, seq=self._seq,
-                                      callback=callback)
-        self._seq += 1
-        self._live += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> _LegacyScheduledEvent:
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._live -= 1
-            event.executed = True
-            return event
-        raise IndexError("pop from empty event queue")
-
-
-# --------------------------------------------------------------------------
 # Engine microbenchmark.
 
 
-def _drive_queue(queue: Any, events: int) -> int:
+def _drive_queue(queue: EventQueue, events: int) -> int:
     """Push/pop ``events`` through ``queue`` with steady-state heap churn.
 
-    A seeded LCG generates the schedule, so both queue implementations see
-    the exact same sequence of operations.  Returns the number of events
-    processed (sanity value, always ``events``).
+    A seeded LCG generates the schedule, so every run sees the exact same
+    sequence of operations.  Returns the number of events processed
+    (sanity value, always ``events``).
     """
     state = 0x2016_BB
     now = 0
@@ -126,52 +75,22 @@ def _drive_queue(queue: Any, events: int) -> int:
 
 
 def bench_event_queue(events: int = 200_000, repeats: int = 3) -> dict[str, float]:
-    """Events/second for the optimized queue vs the legacy baseline.
-
-    Best-of-``repeats`` wall time for each implementation on an identical
-    deterministic workload.
-    """
-    def best_eps(factory: Callable[[], Any]) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            queue = factory()
-            start = time.perf_counter()
-            _drive_queue(queue, events)
-            best = min(best, time.perf_counter() - start)
-        return events / best
-
-    optimized = best_eps(EventQueue)
-    legacy = best_eps(_LegacyEventQueue)
-    return {
-        "events": float(events),
-        "optimized_events_per_sec": optimized,
-        "legacy_events_per_sec": legacy,
-        "speedup": optimized / legacy,
-    }
+    """Events/second through the event queue, best of ``repeats`` runs."""
+    best = float("inf")
+    for _ in range(repeats):
+        queue = EventQueue()
+        start = time.perf_counter()
+        _drive_queue(queue, events)
+        best = min(best, time.perf_counter() - start)
+    return {"events": float(events), "events_per_sec": events / best}
 
 
 # --------------------------------------------------------------------------
 # Cache microbenchmark.
 
 
-class _LegacyDeepcopyCache:
-    """Deepcopy-on-both-ends in-memory cache, as shipped before the
-    pickle-bytes rewrite (kept verbatim as the baseline)."""
-
-    def __init__(self) -> None:
-        self._memory: dict[str, Any] = {}
-
-    def get(self, key: str) -> tuple[bool, Any]:
-        if key in self._memory:
-            return True, copy.deepcopy(self._memory[key])
-        return False, None
-
-    def put(self, key: str, value: Any) -> None:
-        self._memory[key] = copy.deepcopy(value)
-
-
 def _reference_report() -> Any:
-    """A real full-size boot report to push through the caches."""
+    """A real full-size boot report to push through the cache."""
     from repro.core.config import BBConfig
     from repro.runner.jobs import SimJob, execute_job
     from repro.workloads import opensource_tv_workload
@@ -181,35 +100,24 @@ def _reference_report() -> Any:
 
 
 def bench_cache(rounds: int = 300, repeats: int = 3) -> dict[str, float]:
-    """Round-trips/second through the bytes cache vs the deepcopy cache.
+    """Round-trips/second through the result cache.
 
     One round is a ``put`` of a real TV boot report under a fresh key
     followed by a ``get`` of it — the exact hot path a cold sweep pays
-    per unique job.  Best-of-``repeats`` wall time per implementation.
+    per unique job.  Best-of-``repeats`` wall time.
     """
     report = _reference_report()
-
-    def best_rps(factory: Callable[[], Any]) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            cache = factory()
-            start = time.perf_counter()
-            for index in range(rounds):
-                key = f"bench-{index}"
-                cache.put(key, report)
-                hit, _ = cache.get(key)
-                assert hit
-            best = min(best, time.perf_counter() - start)
-        return rounds / best
-
-    optimized = best_rps(ResultCache)
-    legacy = best_rps(_LegacyDeepcopyCache)
-    return {
-        "rounds": float(rounds),
-        "optimized_roundtrips_per_sec": optimized,
-        "legacy_roundtrips_per_sec": legacy,
-        "speedup": optimized / legacy,
-    }
+    best = float("inf")
+    for _ in range(repeats):
+        cache = ResultCache()
+        start = time.perf_counter()
+        for index in range(rounds):
+            key = f"bench-{index}"
+            cache.put(key, report)
+            hit, _ = cache.get(key)
+            assert hit
+        best = min(best, time.perf_counter() - start)
+    return {"rounds": float(rounds), "roundtrips_per_sec": rounds / best}
 
 
 # --------------------------------------------------------------------------
@@ -408,9 +316,9 @@ def bench_fleet(smoke: bool = False,
     """Campaign throughput through the fleet service, identity-checked.
 
     Runs :func:`repro.fleet.campaign.run`: an in-process asyncio service
-    on an ephemeral port, the device-matrix campaign submitted over TCP,
-    every unique fingerprint replayed through a fresh serial runner and
-    byte-compared against the streamed payloads.
+    on an ephemeral port, the device-matrix campaign submitted over TCP
+    as one submission, every unique fingerprint replayed through a fresh
+    serial runner and compared ticket by ticket with the stream.
     """
     from repro.fleet import campaign
 

@@ -1,6 +1,6 @@
 """Simulation verification: invariant monitoring, fuzzing and oracles.
 
-Three cooperating layers of defence against a silently wrong simulator:
+Cooperating layers of defence against a silently wrong simulator:
 
 * :mod:`repro.verify.monitor` — :class:`InvariantMonitor`, an opt-in
   runtime observer asserting time monotonicity, core bounds, dependency
@@ -17,18 +17,25 @@ Three cooperating layers of defence against a silently wrong simulator:
 * :mod:`repro.verify.fleet` — the fleet-identity oracle: a campaign
   streamed through the async boot service must deliver results
   byte-identical to a serial replay.
+* :mod:`repro.verify.generations` — the generation-identity oracle: an
+  OTA rollout staged through the fleet service must report
+  byte-identically to its serial replay, and generation commits must
+  round-trip through the on-disk store.
 * :mod:`repro.verify.fleet_crash` — the crash-recovery oracle: a real
   service subprocess is power-cut mid-campaign at a seeded journal
   offset, restarted, and the stitched campaign must be byte-identical
   to an uninterrupted serial run.
 
-:func:`run_verification` drives all of them; the CLI surfaces it as
-``repro verify [--smoke] [--only GROUP]``.
+The fleet and fleet-crash groups share one driver and one oracle,
+:func:`repro.fleet.campaign.run`; they differ only in where the service
+runs and what happens to it.  :func:`run_verification` drives every
+group; the CLI surfaces it as ``repro verify [--smoke] [--only GROUP]``.
 """
 
 from repro.verify.branch import check_branch_identity, identity_matrix
 from repro.verify.fleet import check_fleet_identity
 from repro.verify.fleet_crash import check_fleet_crash
+from repro.verify.generations import check_generation_identity
 from repro.verify.monitor import InvariantMonitor, MonitorStats, Violation
 from repro.verify.perturb import (PerturbedEventQueue, diff_signatures,
                                   metamorphic_signature)
@@ -45,6 +52,7 @@ __all__ = [
     "check_branch_identity",
     "check_fleet_crash",
     "check_fleet_identity",
+    "check_generation_identity",
     "diff_signatures",
     "identity_matrix",
     "metamorphic_signature",

@@ -5,10 +5,11 @@ jobs are batched by an auto-scaling pool, executed in whichever shard
 frees up first, answered from cache or coalesced onto in-flight
 duplicates, and streamed back over TCP with payload de-duplication.
 None of that may change a single byte of a result.  This check runs a
-scaled-down fleet campaign (in-process service, ephemeral port) and
-relies on :mod:`repro.fleet.campaign`'s oracle: every streamed payload
-must equal the canonical encoding of a from-scratch serial replay of the
-same fingerprint.
+scaled-down fleet campaign (in-process service, ephemeral port) through
+:func:`repro.fleet.campaign.run` and relies on its oracle: ticket by
+ticket, in submission order, every streamed payload must equal the
+canonical encoding of a from-scratch serial replay of the expected
+fingerprint.
 """
 
 from __future__ import annotations

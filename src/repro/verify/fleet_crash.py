@@ -5,20 +5,20 @@ transplanted to the service tier: *power loss at any instant loses no
 acknowledged work and changes no bytes*.  This check proves one
 deterministic instance of it end to end, with real processes:
 
-1. compute the ground truth — the canonical campaign report of an
-   uninterrupted serial run of the smoke device matrix;
-2. launch a real ``repro fleet serve`` subprocess with a journal and a
+1. launch a real ``repro fleet serve`` subprocess with a journal and a
    chaos plan that power-cuts the process (``os._exit(137)``, no
    cleanup) the moment a chosen journal append becomes durable — an odd
    offset, so the cut lands right after a submission is journaled but
    before it is acked or executed;
-3. drive a chunked campaign against it with the retrying client; a
-   watchdog thread restarts the service (without chaos) the moment the
-   kill is observed, on the same port, journal and cache;
-4. require that the stitched-together campaign report — part answered
-   by the first process, part resumed from the journal, part resubmitted
-   by the client's backoff path — is **byte-identical** to the serial
-   ground truth, that the crash actually happened (exit 137), that the
+2. drive the smoke campaign against it in one-cell chunks through
+   :func:`repro.fleet.campaign.run` and its retrying client; a watchdog
+   thread restarts the service (without chaos) the moment the kill is
+   observed, on the same port, journal and cache;
+3. require that the campaign's identity oracle passes — every ticket of
+   the stitched-together stream, part answered by the first process,
+   part resumed from the journal, part resubmitted by the client's
+   backoff path, is **byte-identical** to an uninterrupted serial
+   replay — that the crash actually happened (exit 137), that the
    restarted service really resumed journaled work, and that the client
    really retried.
 
@@ -109,24 +109,21 @@ def _wait_port_free(port: int, deadline_s: float = 15.0) -> None:
 def check_fleet_crash(smoke: bool = False) -> tuple[list[str], int, int]:
     """Run the crash/restart oracle; returns ``(violations, boots, checks)``.
 
-    ``boots`` counts unique simulations (the serial ground truth; the
-    service re-runs the same fingerprints); ``checks`` counts the
-    byte-identity comparison plus the crash/resume/retry assertions.
+    ``boots`` counts unique simulations (the serial replay; the service
+    re-runs the same fingerprints); ``checks`` counts the per-ticket
+    identity comparisons plus the crash/resume/retry assertions.
     """
     violations: list[str] = []
     total_jobs = 120 if smoke else 360
-    specs = campaign.build_specs(smoke=True, total_jobs=total_jobs)
-    chunks = campaign.chunk_specs(specs, 1)
+    chunks = campaign.chunk_specs(
+        campaign.build_specs(smoke=True, total_jobs=total_jobs), 1)
     # Journal appends strictly alternate submit/done for a serial
     # chunked client, so an odd offset always lands on a *submit*
     # append: the submission is durable, its ack never leaves, and the
     # restart must resume it.  Offset 2k+1 cuts mid-campaign.
     crash_offset = 2 * (len(chunks) // 2) + 1
     chaos = {"seed": 7, "crash_at_journal_offset": crash_offset}
-
-    expected, unique_jobs = campaign.serial_campaign_bytes(specs)
-    boots = unique_jobs
-    checks = 0
+    boots = checks = 0
 
     with tempfile.TemporaryDirectory(prefix="fleet-crash-") as root:
         journal_dir = os.path.join(root, "journal")
@@ -159,35 +156,26 @@ def check_fleet_crash(smoke: bool = False) -> tuple[list[str], int, int]:
                                     daemon=True)
         watchdog.start()
         try:
-            outcome = campaign.run_remote(
-                "127.0.0.1", port, chunks,
+            result = campaign.run(
+                smoke=True, total_jobs=total_jobs, host="127.0.0.1",
+                port=port, cells_per_chunk=1,
                 retry=RetryPolicy(retries=14, backoff_base=0.25,
                                   backoff_cap=2.0, seed=3),
                 connect_timeout=10.0, read_timeout=max(60.0, _DEADLINE_S))
-            actual = campaign.canonical_campaign_bytes(outcome.report())
-
-            checks += 1
-            if actual != expected:
-                violations.append(
-                    f"fleet-crash: resumed campaign report is not "
-                    f"byte-identical to the uninterrupted serial run "
-                    f"({len(outcome.payloads)} payloads, "
-                    f"{len(outcome.errors)} errors)")
-            checks += 1
+            boots, checks = result.unique_jobs, result.total_jobs + 3
+            violations.extend(f"fleet-crash: {mismatch}"
+                              for mismatch in result.mismatches)
             if first.returncode != CRASH_EXIT_CODE:
                 violations.append(
                     f"fleet-crash: chaos never fired — first service "
                     f"exited {first.returncode} instead of "
                     f"{CRASH_EXIT_CODE} at journal append {crash_offset}")
-            checks += 1
-            journal = outcome.status.get("journal", {})
-            if int(journal.get("resumed", 0)) < 1:
+            if result.resumed_jobs < 1:
                 violations.append(
                     "fleet-crash: the restarted service resumed no "
                     "journaled submissions — the write-ahead log never "
                     "did its job")
-            checks += 1
-            if outcome.attempts <= outcome.chunks:
+            if result.client_retries < 1:
                 violations.append(
                     "fleet-crash: the client never retried — the crash "
                     "window missed every submission")

@@ -48,6 +48,7 @@ crash/restart cycle.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -58,6 +59,10 @@ from repro.core.bb import BootSimulation
 from repro.core.config import BBConfig
 from repro.faults import build_preset
 from repro.verify import oracles
+from repro.verify.branch import check_branch_identity
+from repro.verify.fleet import check_fleet_identity
+from repro.verify.fleet_crash import check_fleet_crash
+from repro.verify.generations import check_generation_identity
 from repro.verify.monitor import InvariantMonitor
 from repro.verify.perturb import (PerturbedEventQueue, diff_signatures,
                                   metamorphic_signature)
@@ -271,48 +276,14 @@ def _check_analytic_oracles(seed: int, cases: int) -> CheckResult:
     return result
 
 
-def _check_branch_identity(smoke: bool) -> CheckResult:
-    from repro.verify.branch import check_branch_identity
-
-    result = CheckResult("branch-identity")
-    violations, boots, checks = check_branch_identity(smoke=smoke)
-    result.violations.extend(violations)
-    result.boots += boots
-    result.checks += checks
-    return result
-
-
-def _check_fleet_identity(smoke: bool) -> CheckResult:
-    from repro.verify.fleet import check_fleet_identity
-
-    result = CheckResult("fleet-identity")
-    violations, boots, checks = check_fleet_identity(smoke=smoke)
-    result.violations.extend(violations)
-    result.boots += boots
-    result.checks += checks
-    return result
-
-
-def _check_generation_identity(smoke: bool) -> CheckResult:
-    from repro.verify.generations import check_generation_identity
-
-    result = CheckResult("generation-identity")
-    violations, boots, checks = check_generation_identity(smoke=smoke)
-    result.violations.extend(violations)
-    result.boots += boots
-    result.checks += checks
-    return result
-
-
-def _check_fleet_crash(smoke: bool) -> CheckResult:
-    from repro.verify.fleet_crash import check_fleet_crash
-
-    result = CheckResult("fleet-crash")
-    violations, boots, checks = check_fleet_crash(smoke=smoke)
-    result.violations.extend(violations)
-    result.boots += boots
-    result.checks += checks
-    return result
+def _check_identity(name: str,
+                    check: Callable[..., tuple[list[str], int, int]],
+                    smoke: bool) -> CheckResult:
+    """Adapt a ``check(smoke=...) -> (violations, boots, checks)``
+    identity oracle to a :class:`CheckResult`."""
+    violations, boots, checks = check(smoke=smoke)
+    return CheckResult(name, boots=boots, checks=checks,
+                       violations=violations)
 
 
 def _check_predicted(scenarios: list[_Scenario], smoke: bool) -> CheckResult:
@@ -406,12 +377,13 @@ def run_verification(smoke: bool = False, seed: int = 0,
          lambda: _check_analytic_oracles(seed, oracle_cases)),
         ("predicted", lambda: _check_predicted(scenarios, smoke)),
         ("cross-cutting-laws", lambda: _check_laws(seed, law_graphs)),
-        ("branch-identity", lambda: _check_branch_identity(smoke)),
-        ("fleet-identity", lambda: _check_fleet_identity(smoke)),
-        ("generation-identity",
-         lambda: _check_generation_identity(smoke)),
-        ("fleet-crash", lambda: _check_fleet_crash(smoke)),
     ]
+    groups += [(name, functools.partial(_check_identity, name, check, smoke))
+               for name, check in (
+                   ("branch-identity", check_branch_identity),
+                   ("fleet-identity", check_fleet_identity),
+                   ("generation-identity", check_generation_identity),
+                   ("fleet-crash", check_fleet_crash))]
     if only is not None:
         names = [name for name, _ in groups]
         if only not in names:

@@ -1,8 +1,41 @@
-"""The fleet campaign: matrix construction and a tiny end-to-end run."""
+"""The fleet campaign: matrix construction, end-to-end runs in both
+modes, and the identity oracle's ability to fail."""
 
-from repro.fleet import build_specs, run_campaign
-from repro.fleet.campaign import render, specs_expanded_total
+import socket
+import subprocess
+import sys
+import time
+
+import pytest
+
+from repro.fleet import FleetClient, build_specs, run_campaign
+from repro.fleet.campaign import render
 from repro.fleet.protocol import job_from_spec
+from repro.verify.fleet_crash import _free_port, _subprocess_env, _terminate
+
+
+def _flip_a_bit_of_ticket_5(outcome):
+    payload = outcome.payloads[5]
+    outcome.payloads[5] = bytes([payload[0] ^ 1]) + payload[1:]
+
+
+def _swap_first_and_last(outcome):
+    for stream in (outcome.fingerprints, outcome.payloads):
+        stream[0], stream[-1] = stream[-1], stream[0]
+
+
+def _wait_listening(port, deadline_s=30.0):
+    """Block until a service accepts on ``port``, so the campaign's
+    first submission never needs a retry."""
+    deadline = time.monotonic() + deadline_s
+    while True:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+            return
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
 
 
 class TestBuildSpecs:
@@ -10,13 +43,13 @@ class TestBuildSpecs:
         specs = build_specs()
         # 6 workloads x 2 BB x (healthy + 3 presets x 2 seeds) = 84 cells
         assert len(specs) == 84
-        assert specs_expanded_total(specs) == 10_080
+        assert sum(spec["repeat"] for spec in specs) == 10_080
 
     def test_smoke_matrix_shape(self):
         specs = build_specs(smoke=True, total_jobs=200)
         # 2 workloads x 2 BB x (healthy + 1 preset x 1 seed) = 8 cells
         assert len(specs) == 8
-        assert specs_expanded_total(specs) == 200
+        assert sum(spec["repeat"] for spec in specs) == 200
 
     def test_popularity_skew_is_monotone_at_the_head(self):
         specs = build_specs(total_jobs=10_080)
@@ -55,3 +88,47 @@ class TestCampaignRun:
         assert "fleet == serial" in text
         assert "yes" in text
         assert "jobs submitted" in text
+
+
+class TestIdentityOracle:
+    @pytest.mark.parametrize("plant, expected", [
+        (_flip_a_bit_of_ticket_5, ["job 5: fleet payload differs"]),
+        (_swap_first_and_last, ["job 0: fleet fingerprint",
+                                "job 15: fleet fingerprint"]),
+    ], ids=["corrupt-payload", "reordered-tickets"])
+    def test_planted_mismatch_names_the_ticket(self, monkeypatch, plant,
+                                               expected):
+        submit = FleetClient.submit_with_retry
+
+        async def planting(self, *args, **kwargs):
+            outcome = await submit(self, *args, **kwargs)
+            plant(outcome)
+            return outcome
+
+        monkeypatch.setattr(FleetClient, "submit_with_retry", planting)
+        result = run_campaign(smoke=True, total_jobs=16, max_workers=1)
+        assert result.identical is False
+        assert len(result.mismatches) == len(expected)
+        for mismatch, prefix in zip(result.mismatches, expected):
+            assert mismatch.startswith(prefix), mismatch
+
+    @pytest.mark.slow
+    def test_external_mode_against_a_served_process(self):
+        port = _free_port()
+        service = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fleet", "serve",
+             "--host", "127.0.0.1", "--port", str(port),
+             "--max-workers", "1"],
+            env=_subprocess_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            _wait_listening(port)
+            result = run_campaign(smoke=True, total_jobs=24,
+                                  host="127.0.0.1", port=port,
+                                  cells_per_chunk=1, read_timeout=60.0)
+        finally:
+            _terminate(service)
+        assert result.identical, result.mismatches
+        assert result.provenance == "fresh"
+        assert (result.total_jobs, result.unique_jobs) == (24, 8)
+        assert result.client_retries == 0

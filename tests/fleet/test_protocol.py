@@ -21,7 +21,11 @@ class TestFrames:
         assert line.count(b"\n") == 1
         assert protocol.decode_frame(line)["a"] == "multi\nline? no"
 
-    @pytest.mark.parametrize("junk", [b"not json\n", b"[1, 2]\n", b'"str"\n'])
+    @pytest.mark.parametrize("junk", [
+        b"not json\n", b"[1, 2]\n", b'"str"\n',
+        pytest.param(b"[" * 100_000, id="deep-array"),
+        pytest.param(b'{"op":' * 50_000, id="deep-object"),
+    ])
     def test_bad_frames_raise(self, junk):
         with pytest.raises(ProtocolError):
             protocol.decode_frame(junk)
@@ -80,6 +84,11 @@ class TestJobSpecs:
         ({"fault": {"preset": "nope"}}, "unknown fault preset"),
         ({"kind": "recover", "cores": 2}, "not supported"),
         ("not-a-dict", "must be an object"),
+        ({"workload": ["tv"]}, "unknown workload"),
+        ({"cores": True}, "cores"),
+        ({"repeat": True}, "repeat"),
+        ({"fault": {"preset": "flaky-services", "seed": True}}, "seed"),
+        ({"label": {"name": "tv"}}, "label"),
     ])
     def test_bad_specs_raise_protocol_errors(self, spec, match):
         with pytest.raises(ProtocolError, match=match):

@@ -8,7 +8,7 @@ through the fault-plan seed, and every service binds port 0.
 import asyncio
 
 from repro.fleet import FleetClient, FleetService
-from repro.fleet.protocol import job_from_spec
+from repro.fleet.protocol import encode_frame, job_from_spec
 from repro.fleet.resources import ResourcePolicy
 from repro.runner import execute_job
 from repro.runner.branch import canonical_bytes
@@ -137,6 +137,62 @@ class TestProtocolErrors:
         assert event["event"] == "error"
         assert "unknown op" in event["message"]
         assert outcome.ok
+
+    def test_hostile_frames_get_error_events_and_the_connection_survives(
+            self):
+        frames = [
+            b"[" * 100_000 + b"\n",
+            encode_frame({"op": "submit", "id": "unhashable",
+                          "jobs": [{"workload": ["tv"]}]}),
+            encode_frame({"op": "submit", "id": "bool-priority",
+                          "priority": True, "jobs": [_spec(seed=0)]}),
+        ]
+
+        async def scenario(service, host, port):
+            async with FleetClient(host, port) as client:
+                events = []
+                for frame in frames:
+                    client._writer.write(frame)
+                    await client._writer.drain()
+                    events.append(await client._read_event())
+                outcome = await client.submit([_spec(seed=0)])
+                return events, outcome
+
+        events, outcome = asyncio.run(_with_service(scenario))
+        assert [event["event"] for event in events] == ["error"] * 3
+        assert [event["id"] for event in events] == [
+            None, "unhashable", "bool-priority"]
+        assert "nests too deeply" in events[0]["message"]
+        assert "unknown workload" in events[1]["message"]
+        assert "'priority' must be an int" in events[2]["message"]
+        assert outcome.ok
+
+
+class TestDispatch:
+    def test_scale_down_never_retires_a_shard_holding_a_dispatched_batch(
+            self):
+        # Unstarted service: no supervisor, so this drives one dispatch
+        # and the autoscale pass that may follow it, nothing else.
+        async def scenario():
+            service = FleetService(port=0, batch_size=1,
+                                   policy=_policy(max_workers=2))
+            pool = service.pool
+            try:
+                pool.scale_to(2)
+                for seed in range(2):
+                    job, _ = job_from_spec(_spec(seed=seed))
+                    service.scheduler.submit("probe", job)
+                service._dispatch()  # two batches handed over, not run yet
+                pool.scale_to(1)
+                retired = pool.scaled_down
+                await asyncio.gather(*service._batch_tasks)
+                return retired, pool.replaced, dict(service._retry_counts)
+            finally:
+                await service.stop()
+
+        retired, replaced, retries = asyncio.run(scenario())
+        assert retired == 0
+        assert replaced == 0 and retries == {}
 
 
 class TestStatusAndDrain:

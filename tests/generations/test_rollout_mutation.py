@@ -12,11 +12,11 @@ directly.
 
 import pytest
 
+from repro.canonical import canonical_json
 from repro.generations import (VERDICT_HEALTHY, VERDICT_REGRESSION,
                                VERDICT_STAGE_FAILED, VERDICT_UNIT_FAILURE,
-                               canonical_report_bytes, demo_store,
-                               draw_update_fault, partition_waves,
-                               run_rollout)
+                               demo_store, draw_update_fault,
+                               partition_waves, run_rollout)
 
 
 def _rollout(tmp_path, kind, **kwargs):
@@ -121,15 +121,13 @@ class TestDeterminism:
     def test_jobs_1_equals_jobs_2(self, tmp_path, kind):
         serial = _rollout(tmp_path / "j1", kind, jobs=1)
         threaded = _rollout(tmp_path / "j2", kind, jobs=2)
-        assert (canonical_report_bytes(serial)
-                == canonical_report_bytes(threaded))
+        assert canonical_json(serial) == canonical_json(threaded)
 
     def test_serial_equals_fleet(self, tmp_path):
         serial = _rollout(tmp_path / "s", "regressed")
         fleet = _rollout(tmp_path / "f", "regressed", use_fleet=True,
                          jobs=2)
-        assert (canonical_report_bytes(serial)
-                == canonical_report_bytes(fleet))
+        assert canonical_json(serial) == canonical_json(fleet)
 
     def test_waves_partition_every_device_exactly_once(self):
         from repro.generations import device_ids

@@ -2,31 +2,27 @@
 
 import json
 
-from repro.runner.bench import (_LegacyEventQueue, _drive_queue, bench_cache,
-                                bench_checkpoint, bench_event_queue,
-                                build_record, checkpoint_matrix, write_record)
+from repro.runner.bench import (_drive_queue, bench_cache, bench_checkpoint,
+                                bench_event_queue, build_record,
+                                checkpoint_matrix, write_record)
 from repro.runner.branch import BACKEND_REPLAY
 from repro.sim.events import EventQueue
 
 
-def test_both_queues_process_identical_workloads():
+def test_queue_processes_the_seeded_workload():
     assert _drive_queue(EventQueue(), 500) == 500
-    assert _drive_queue(_LegacyEventQueue(), 500) == 500
 
 
-def test_microbenchmark_reports_speedup():
+def test_microbenchmark_reports_events_per_sec():
     result = bench_event_queue(events=2_000, repeats=1)
-    assert result["optimized_events_per_sec"] > 0
-    assert result["legacy_events_per_sec"] > 0
-    assert result["speedup"] > 0
+    assert result["events"] == 2_000
+    assert result["events_per_sec"] > 0
 
 
-def test_cache_benchmark_reports_speedup():
+def test_cache_benchmark_reports_roundtrips_per_sec():
     result = bench_cache(rounds=20, repeats=1)
     assert result["rounds"] == 20
-    assert result["optimized_roundtrips_per_sec"] > 0
-    assert result["legacy_roundtrips_per_sec"] > 0
-    assert result["speedup"] > 0
+    assert result["roundtrips_per_sec"] > 0
 
 
 def test_checkpoint_matrix_shares_one_prefix():
