@@ -88,13 +88,13 @@ generations-smoke:
 		--demo regressed --expect-rollbacks 4
 
 experiments:
-	python -m repro experiment all
+	PYTHONPATH=src python -m repro experiment all
 
 artifacts:
-	python scripts/generate_artifacts.py --out artifacts
+	PYTHONPATH=src python scripts/generate_artifacts.py --out artifacts
 
 examples:
-	@for f in examples/*.py; do echo "== $$f =="; python $$f || exit 1; done
+	@for f in examples/*.py; do echo "== $$f =="; PYTHONPATH=src python $$f || exit 1; done
 
 clean:
 	rm -rf artifacts .pytest_cache .hypothesis

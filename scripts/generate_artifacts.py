@@ -59,15 +59,15 @@ def main() -> None:
         render_svg(fig7.conventional_chart))
     (out / "fig7_isolated.svg").write_text(render_svg(fig7.boosted_chart))
 
-    from repro.cli import _experiments
+    from repro.experiments import EXPERIMENTS, run_and_render
 
     skip = {"ablations", "variance", "scaling", "fig6"} if args.skip_slow else set()
     chunks = []
-    for exp_id, (run, render) in _experiments().items():
+    for exp_id in EXPERIMENTS:
         if exp_id in skip:
             continue
         print(f"running experiment {exp_id}...")
-        chunks.append(f"===== {exp_id} =====\n{render(run())}\n")
+        chunks.append(f"===== {exp_id} =====\n{run_and_render(exp_id)}\n")
     (out / "experiments.txt").write_text("\n".join(chunks))
     print(f"artifacts written to {out}/")
 

@@ -1,54 +1,43 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command>``; ``--help`` on
+any command lists its flags.
 
-Commands:
+* ``boot`` — one simulated cold boot, optionally under a fault preset or
+  supervised by the recovery ladder; exit 0 clean, 3 degraded, 1
+  unrecoverable,
+* ``recover`` — the boot-recovery escalation ladder: one supervised run
+  for a named fault preset, or the recovery matrix,
+* ``experiment <id>|all|list`` — regenerate paper artifacts through one
+  deduplicating, cached, optionally branched and parallel sweep runner,
+* ``faults`` — boot under a named fault preset and print the outcome,
+* ``predict`` — solve a boot analytically (closed form, no event loop),
+* ``bench`` — the perf benchmarks recorded to ``BENCH_runner.json``;
+  exit 1 when an identity or floor gate trips,
+* ``fleet serve|submit|status|campaign`` — the async boot service
+  (:mod:`repro.fleet`) and its byte-checked 10k-job campaign,
+* ``generations init|commit|log|diff|rollback|rollout`` — boot-entry
+  generations and OTA rollouts (:mod:`repro.generations`),
+* ``bootchart`` — boot and render the bootchart (ASCII, SVG, trace),
+* ``verify`` — the simulation verification harness,
+* ``analyze`` — the Service Analyzer; ``workloads`` — list workloads.
 
-* ``boot [--workload NAME] [--bb | --no-bb | --features a,b,c] [--cores N]
-  [--faults PRESET] [--recover] [--branch]`` — run one simulated cold
-  boot and print the stage breakdown; exit 0 clean, 3
-  degraded/recovered-degraded, 1 unrecoverable; ``--branch`` routes the
-  boot through the checkpoint/fork sweep runner (identical output),
-* ``recover [PRESET] [--seed N] [--smoke] [--json] [--branch]`` — run
-  the boot-recovery escalation ladder: one supervised run for a named
-  fault preset, or the recovery matrix (``--smoke`` for the CI subset),
-* ``experiment <id> | all [--jobs N] [--cache-dir DIR] [--branch]`` —
-  run an evaluation experiment and print the regenerated artifact
-  (``experiment list`` shows the ids); sweeps are deduplicated, cached,
-  optionally checkpoint/fork-branched, and fanned out over ``N`` worker
-  processes,
-* ``faults [PRESET] [--seed N] [--no-bb] [--list-presets]`` — boot under
-  a named fault preset and print the (possibly degraded) outcome,
-* ``bench [--jobs N] [--out FILE] [--branch-floor X] [--fleet-floor X]``
-  — engine/cache microbenchmarks + checkpoint/fork benchmark +
-  serial-vs-parallel sweep benchmark + fleet-campaign benchmark,
-  recorded to ``BENCH_runner.json``; nonzero exit if branched/fleet
-  results are not identical to from-scratch runs or a speedup/throughput
-  lands below its committed floor,
-* ``fleet serve|submit|status|campaign`` — the long-running async boot
-  service (:mod:`repro.fleet`): ``serve`` starts the TCP/JSON-lines
-  service (SIGTERM drains gracefully), ``submit`` streams jobs to a
-  running service, ``status`` prints its snapshot, and ``campaign``
-  runs the 10k+-job fleet campaign against an in-process service with
-  the fleet-vs-serial byte-identity check and a ``--throughput-floor``
-  gate,
-* ``bootchart [--workload NAME] [--bb] [--cores N] [--svg FILE]`` — boot
-  and render the bootchart (ASCII to stdout, optionally SVG to a file),
-* ``verify [--smoke] [--seed N] [--json]`` — run the verification
-  harness: invariant-monitored boots, schedule-perturbation fuzzing and
-  analytic oracles; nonzero exit on any violation,
-* ``analyze [--workload NAME]`` — run the Service Analyzer,
-* ``workloads`` — list the available workloads.
+The boot-shaped commands (``boot``, ``faults``, ``predict``,
+``bootchart``, ``recover``, ``fleet submit``, ``generations commit``)
+share one set of boot flags, turn them into one boot spec — the fleet
+wire format — and resolve it with :func:`repro.bootspec.resolve_spec`.
+A bad name or value exits with one line from :func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
+import json
 import sys
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.analysis.report import format_table
 from repro.bootchart import BootChart, render_ascii, render_svg
-from repro.core import BBConfig, BootSimulation
+from repro.bootspec import ResolvedSpec, resolve_spec
+from repro.errors import ConfigurationError, GenerationError
 from repro.graph.analyzer import ServiceAnalyzer
 from repro.workloads import WORKLOAD_FACTORIES
 from repro.workloads.base import Workload
@@ -61,70 +50,63 @@ WORKLOADS: dict[str, Callable[[], Workload]] = WORKLOAD_FACTORIES
 def _resolve_jobs(value: int | None) -> int:
     """Shared ``--jobs``/worker-count validation for every subcommand.
 
-    ``None`` defaults to the CPU count; anything below 1 exits with the
-    scheduler layer's error message instead of a silent clamp.
+    ``None`` defaults to the CPU count; anything below 1 raises the
+    scheduler layer's :class:`ConfigurationError` instead of a silent
+    clamp.
     """
-    from repro.errors import ConfigurationError
     from repro.runner.schedule import resolve_worker_count
 
-    try:
-        return resolve_worker_count(value)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc))
+    return resolve_worker_count(value)
 
 
-def _experiments() -> dict[str, tuple]:
-    from repro.experiments import (ablations, background, boot_modes,
-                                   design_space, fault_matrix,
-                                   fig1_boot_sequence, fig2_dependency_graph,
-                                   fig3_complexity, fig5_rcu_bootchart,
-                                   fig6_breakdown, fig7_bbgroup_dbus,
-                                   generation_rollout, kernel_opt,
-                                   portability, prestart, recovery_matrix,
-                                   scaling, socket_activation, tradeoff,
-                                   variance)
-    return {
-        "portability": (portability.run, portability.render),
-        "scaling": (scaling.run, scaling.render),
-        "boot-modes": (boot_modes.run, boot_modes.render),
-        "sockets": (socket_activation.run, socket_activation.render),
-        "fig1": (fig1_boot_sequence.run, fig1_boot_sequence.render),
-        "fig2": (fig2_dependency_graph.run, fig2_dependency_graph.render),
-        "fig3": (fig3_complexity.run, fig3_complexity.render),
-        "fig5": (fig5_rcu_bootchart.run, fig5_rcu_bootchart.render),
-        "fig6": (fig6_breakdown.run, fig6_breakdown.render),
-        "fig7": (fig7_bbgroup_dbus.run, fig7_bbgroup_dbus.render),
-        "tradeoff": (tradeoff.run, tradeoff.render),
-        "kernel-opt": (kernel_opt.run, kernel_opt.render),
-        "background": (background.run, background.render),
-        "variance": (variance.run, variance.render),
-        "prestart": (prestart.run, prestart.render),
-        "ablations": (ablations.run, ablations.render),
-        "fault-matrix": (fault_matrix.run, fault_matrix.render),
-        "recovery-matrix": (recovery_matrix.run, recovery_matrix.render),
-        "design-space": (design_space.run, design_space.render),
-        "generation-rollout": (generation_rollout.run,
-                               generation_rollout.render),
-    }
+def _spec(args: argparse.Namespace, fault: str | None = None,
+          seed: int = 1, kind: str = "boot") -> dict[str, Any]:
+    """The shared boot flags (see :func:`_boot_flags`) as one boot spec."""
+    spec: dict[str, Any] = {"kind": kind, "workload": args.workload}
+    if args.features:
+        spec["bb"] = [name.strip() for name in args.features.split(",")]
+    elif args.no_bb:
+        spec["bb"] = "none"
+    if getattr(args, "cores", None) is not None:
+        spec["cores"] = args.cores
+    if fault:
+        spec["fault"] = {"preset": fault, "seed": seed}
+    return spec
 
 
-def _resolve_workload(name: str) -> Workload:
-    try:
-        return WORKLOADS[name]()
-    except KeyError:
-        raise SystemExit(f"unknown workload {name!r}; "
-                         f"choose from {', '.join(WORKLOADS)}")
+def _print_injected(tally: dict[str, int]) -> None:
+    counts = ", ".join(f"{k}={v}" for k, v in sorted(tally.items()) if v)
+    if counts:
+        print(f"injected: {counts}")
 
 
-def _resolve_config(args: argparse.Namespace) -> BBConfig:
-    if getattr(args, "features", None):
-        config = BBConfig.none()
-        for feature in args.features.split(","):
-            config = config.with_feature(feature.strip(), True)
-        return config
-    if getattr(args, "no_bb", False):
-        return BBConfig.none()
-    return BBConfig.full()
+def _print_stages(result: Any, column: str, *times_ns: int) -> None:
+    """The stage table ``boot`` and ``predict`` print, then the BB Group."""
+    labels = ("(a) kernel initialization", "(b) init initialization",
+              "(c)+(d) services & applications", "boot completion",
+              "full quiescence (deferred work done)")
+    print(format_table(["stage", column], [
+        (label, f"{ns / 1e6:.1f} ms") for label, ns in zip(labels, times_ns)]))
+    if result.bb_group:
+        print(f"BB Group: {', '.join(sorted(result.bb_group))}")
+
+
+def _failed(gates: list[tuple[bool, str, str, float, float, str]]) -> bool:
+    """Print a FAIL line per tripped identity-plus-floor gate.
+
+    Each gate is ``(identical, what differs, metric, measured, floor,
+    number format)``; a zero floor only reports.
+    """
+    failed = False
+    for identical, differs, metric, measured, floor, shown in gates:
+        if not identical:
+            print(f"FAIL: {differs}")
+            failed = True
+        if floor and measured < floor:
+            print(f"FAIL: {metric} {shown.format(measured)} below the "
+                  f"committed floor {shown.format(floor)}")
+            failed = True
+    return failed
 
 
 def _cmd_boot(args: argparse.Namespace) -> int:
@@ -135,57 +117,26 @@ def _cmd_boot(args: argparse.Namespace) -> int:
     """
     from repro.core.degraded import DegradedBootError
 
-    workload = _resolve_workload(args.workload)
-    config = _resolve_config(args)
-    plan = None
-    if args.faults:
-        from repro.faults import build_preset
-        try:
-            plan = build_preset(args.faults, seed=args.seed)
-        except Exception as exc:
-            raise SystemExit(str(exc))
+    boot = resolve_spec(_spec(args, args.faults, args.seed))
     if args.recover:
-        return _recover_once(workload, plan, label=args.faults or "healthy",
-                             seed=args.seed, base_bb=config,
-                             as_json=getattr(args, "json", False))
-    if getattr(args, "branch", False):
-        from repro.core.degraded import DegradedBootReport
-        from repro.runner import SimJob, SweepRunner
-
-        job = SimJob.boot(WORKLOADS[args.workload], bb=config,
-                          cores=args.cores, fault_plan=plan)
-        with SweepRunner(jobs=1, branch=True, min_branch_group=2) as runner:
-            report = runner.run_one(job)
-        if isinstance(report, DegradedBootReport):
-            print(report.summary())
-            return 1
-    else:
-        simulation = BootSimulation(workload, config, cores=args.cores,
-                                    fault_plan=plan)
-        try:
-            report = simulation.run()
-        except DegradedBootError as exc:
-            print(exc.report.summary())
-            return 1
-    if getattr(args, "json", False):
+        return _recover_once(boot, args.faults or "healthy", args.seed,
+                             args.json)
+    try:
+        report = boot.simulation().run()
+    except DegradedBootError as exc:
+        print(exc.report.summary())
+        return 1
+    if args.json:
         from repro.analysis.export import report_to_json
         print(report_to_json(report))
         return 3 if report.degraded else 0
     features = ", ".join(report.features) or "none (conventional boot)"
     print(f"workload: {report.workload}")
     print(f"BB features: {features}")
-    rows = [
-        ("(a) kernel initialization", f"{report.stages.kernel_ns / 1e6:.1f} ms"),
-        ("(b) init initialization", f"{report.stages.init_init_ns / 1e6:.1f} ms"),
-        ("(c)+(d) services & applications",
-         f"{report.stages.services_ns / 1e6:.1f} ms"),
-        ("boot completion", f"{report.boot_complete_ms:.1f} ms"),
-        ("full quiescence (deferred work done)",
-         f"{report.all_done_ns / 1e6:.1f} ms"),
-    ]
-    print(format_table(["stage", "time"], rows))
-    if report.bb_group:
-        print(f"BB Group: {', '.join(sorted(report.bb_group))}")
+    stages = report.stages
+    _print_stages(report, "time", stages.kernel_ns, stages.init_init_ns,
+                  stages.services_ns, report.boot_complete_ns,
+                  report.all_done_ns)
     if report.degraded:
         print("boot completed DEGRADED: "
               + ", ".join(sorted({*report.failed_units,
@@ -195,118 +146,88 @@ def _cmd_boot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recover_once(workload: Workload, plan, label: str, seed: int,
-                  base_bb: BBConfig, as_json: bool) -> int:
+def _recover_once(boot: ResolvedSpec, label: str, seed: int,
+                  as_json: bool) -> int:
     """Run one supervised recovery and map its outcome to an exit code."""
     from repro.recovery import BootSupervisor, RecoveryPolicy
     from repro.verify import InvariantMonitor
 
-    policy = RecoveryPolicy(label=label, seed=seed, base_bb=base_bb)
-    outcome = BootSupervisor(workload, policy, fault_plan=plan,
+    policy = RecoveryPolicy(label=label, seed=seed, base_bb=boot.bb)
+    outcome = BootSupervisor(boot.factory(), policy,
+                             fault_plan=boot.fault_plan,
                              monitor=InvariantMonitor()).run()
-    if as_json:
-        if outcome.report is not None:
-            from repro.analysis.export import report_to_json
-            print(report_to_json(outcome.report))
-        else:
-            import json
-            from repro.analysis.schema import validate_recovery_dict
-            document = outcome.to_dict()
-            validate_recovery_dict(document)
-            print(json.dumps(document, indent=2, sort_keys=True))
-    else:
+    if not as_json:
         print(outcome.summary())
+    elif outcome.report is not None:
+        from repro.analysis.export import report_to_json
+        print(report_to_json(outcome.report))
+    else:
+        from repro.analysis.schema import validate_recovery_dict
+        document = outcome.to_dict()
+        validate_recovery_dict(document)
+        print(json.dumps(document, indent=2, sort_keys=True))
     return outcome.exit_code
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    from repro.runner import ResultCache, SweepRunner
-
     jobs = _resolve_jobs(args.jobs)  # validate even on the single-run path
     if args.preset is not None:
-        from repro.faults import build_preset
-
-        try:
-            plan = build_preset(args.preset, seed=args.seed)
-        except Exception as exc:
-            raise SystemExit(str(exc))
-        workload = _resolve_workload(args.workload)
-        return _recover_once(workload, plan, label=args.preset,
-                             seed=args.seed, base_bb=_resolve_config(args),
-                             as_json=args.json)
+        boot = resolve_spec(_spec(args, args.preset, args.seed))
+        return _recover_once(boot, args.preset, args.seed, args.json)
     from repro.experiments import recovery_matrix
+    from repro.runner import ResultCache, SweepRunner
 
-    with SweepRunner(jobs=jobs,
-                     cache=ResultCache(args.cache_dir),
-                     branch=getattr(args, "branch", False)) as runner:
+    with SweepRunner(jobs=jobs, cache=ResultCache(args.cache_dir),
+                     branch=args.branch) as runner:
         result = recovery_matrix.run(runner=runner, smoke=args.smoke)
     print(recovery_matrix.render(result))
     return 0 if result.all_converged else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.runner import ResultCache, SweepRunner
+    from repro.experiments import EXPERIMENTS, run_and_render
 
-    experiments = _experiments()
     if args.id == "list":
-        for name in experiments:
-            print(name)
+        print("\n".join(EXPERIMENTS))
         return 0
-    ids = list(experiments) if args.id == "all" else [args.id]
-    for exp_id in ids:
-        if exp_id not in experiments:
-            raise SystemExit(f"unknown experiment {exp_id!r}; "
-                             f"try 'experiment list'")
+    if args.id != "all" and args.id not in EXPERIMENTS:
+        raise SystemExit(f"unknown experiment {args.id!r}; "
+                         f"try 'experiment list'")
     if args.cache_dir is not None:
         import os
         try:
             os.makedirs(args.cache_dir, exist_ok=True)
         except OSError as exc:
             raise SystemExit(f"cannot use cache dir {args.cache_dir!r}: {exc}")
+    from repro.runner import ResultCache, SweepRunner
+
     # One shared runner across the whole invocation, so 'experiment all'
     # never boots the same (workload, config, cores) twice.
     with SweepRunner(jobs=_resolve_jobs(args.jobs),
                      cache=ResultCache(args.cache_dir),
-                     branch=getattr(args, "branch", False)) as runner:
-        for exp_id in ids:
-            run, render = experiments[exp_id]
-            params = inspect.signature(run).parameters
-            kwargs = {}
-            if "runner" in params:
-                kwargs["runner"] = runner
-            if getattr(args, "smoke", False) and "smoke" in params:
-                kwargs["smoke"] = True
-            print(render(run(**kwargs)))
+                     branch=args.branch) as runner:
+        for exp_id in EXPERIMENTS if args.id == "all" else [args.id]:
+            print(run_and_render(exp_id, runner, smoke=args.smoke))
             print()
     return 0
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.core.degraded import DegradedBootError
-    from repro.faults import PRESETS, build_preset
+    from repro.faults import PRESETS
 
     if args.list_presets or args.preset is None:
         for name, builder in PRESETS.items():
             doc = (builder.__doc__ or "").strip().splitlines()[0]
             print(f"{name:16s} {doc}")
         return 0
+    boot = resolve_spec(_spec(args, args.preset, args.seed))
+    print(boot.fault_plan.describe())
     try:
-        plan = build_preset(args.preset, seed=args.seed)
-    except Exception as exc:
-        raise SystemExit(str(exc))
-    workload = _resolve_workload(args.workload)
-    config = _resolve_config(args)
-    print(plan.describe())
-    simulation = BootSimulation(workload, config, cores=args.cores,
-                                fault_plan=plan)
-    try:
-        report = simulation.run()
+        report = boot.simulation().run()
     except DegradedBootError as exc:
         print(exc.report.summary())
-        tally = exc.report.injected_faults
-        if tally:
-            print("injected: " + ", ".join(
-                f"{k}={v}" for k, v in sorted(tally.items()) if v))
+        _print_injected(exc.report.injected_faults)
         return 1
     state = "degraded" if report.degraded else "healthy"
     print(f"boot completed {state} at {report.boot_complete_ms:.1f} ms "
@@ -319,9 +240,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         print("never settled: " + ", ".join(report.unsettled_units))
     if report.deferred_failed:
         print("deferred tasks given up: " + ", ".join(report.deferred_failed))
-    tally = {k: v for k, v in sorted(report.injected_faults.items()) if v}
-    if tally:
-        print("injected: " + ", ".join(f"{k}={v}" for k, v in tally.items()))
+    _print_injected(report.injected_faults)
     return 0
 
 
@@ -334,47 +253,28 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.analysis.predict import predict
     from repro.errors import AnalysisError
 
-    workload = _resolve_workload(args.workload)
-    config = _resolve_config(args)
+    boot = resolve_spec(_spec(args))
     try:
-        prediction = predict(workload, config, cores=args.cores)
+        prediction = predict(boot.factory(), boot.bb, cores=boot.cores)
     except AnalysisError as exc:
         print(f"prediction failed: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "json", False):
-        import json
-        document = {
-            "workload": prediction.workload,
-            "features": list(prediction.features),
-            "cores": prediction.cores,
-            "boot_complete_ns": prediction.boot_complete_ns,
-            "kernel_ns": prediction.kernel_ns,
-            "init_init_ns": prediction.init_init_ns,
-            "load_units_ns": prediction.load_units_ns,
-            "submodules_ns": prediction.submodules_ns,
-            "services_ns": prediction.services_ns,
-            "bb_group": sorted(prediction.bb_group),
-            "unit_started_ns": dict(sorted(
-                prediction.unit_started_ns.items())),
-            "unit_ready_ns": dict(sorted(prediction.unit_ready_ns.items())),
-        }
+    if args.json:
+        document = {key: getattr(prediction, key) for key in (
+            "workload", "features", "cores", "boot_complete_ns", "kernel_ns",
+            "init_init_ns", "load_units_ns", "submodules_ns", "services_ns")}
+        document["bb_group"] = sorted(prediction.bb_group)
+        for key in ("unit_started_ns", "unit_ready_ns"):
+            document[key] = dict(sorted(getattr(prediction, key).items()))
         print(json.dumps(document, indent=2))
         return 0
     features = ", ".join(prediction.features) or "none (conventional boot)"
     print(f"workload: {prediction.workload} (predicted, no simulation)")
     print(f"BB features: {features}")
     print(f"cores: {prediction.cores}")
-    rows = [
-        ("(a) kernel initialization", f"{prediction.kernel_ns / 1e6:.1f} ms"),
-        ("(b) init initialization",
-         f"{prediction.init_init_ns / 1e6:.1f} ms"),
-        ("(c)+(d) services & applications",
-         f"{prediction.services_ns / 1e6:.1f} ms"),
-        ("boot completion", f"{prediction.boot_complete_ms:.1f} ms"),
-    ]
-    print(format_table(["stage", "predicted time"], rows))
-    if prediction.bb_group:
-        print(f"BB Group: {', '.join(sorted(prediction.bb_group))}")
+    _print_stages(prediction, "predicted time", prediction.kernel_ns,
+                  prediction.init_init_ns, prediction.services_ns,
+                  prediction.boot_complete_ns)
     return 0
 
 
@@ -394,7 +294,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
           f"events/s")
     print(f"result cache: {record['cache']['roundtrips_per_sec']:,.0f} "
           f"roundtrips/s")
-    failed = False
+    gates = []
     if "checkpoint" in record:
         checkpoint = record["checkpoint"]
         print(f"checkpoint: {checkpoint['cells']}-cell matrix, scratch "
@@ -403,13 +303,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"{checkpoint['branched_wall_s']:.1f} s "
               f"(speedup {checkpoint['speedup']:.2f}x, outputs identical: "
               f"{checkpoint['outputs_identical']})")
-        if not checkpoint["outputs_identical"]:
-            print("FAIL: branched results differ from from-scratch runs")
-            failed = True
-        if args.branch_floor and checkpoint["speedup"] < args.branch_floor:
-            print(f"FAIL: checkpoint speedup {checkpoint['speedup']:.2f}x "
-                  f"below the committed floor {args.branch_floor:.2f}x")
-            failed = True
+        gates.append((checkpoint["outputs_identical"],
+                      "branched results differ from from-scratch runs",
+                      "checkpoint speedup", checkpoint["speedup"],
+                      args.branch_floor, "{:.2f}x"))
     if "design_space" in record:
         sweep = record["design_space"]
         print(f"design space: {sweep['cells']} cells, pre-filtered "
@@ -418,14 +315,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"{sweep['exhaustive_wall_s']:.1f} s (speedup "
               f"{sweep['speedup']:.2f}x, frontier identical: "
               f"{sweep['frontier_identical']})")
-        if not sweep["frontier_identical"]:
-            print("FAIL: analytic frontier differs from the exhaustive "
-                  "DES frontier")
-            failed = True
-        if args.predict_floor and sweep["speedup"] < args.predict_floor:
-            print(f"FAIL: design-space speedup {sweep['speedup']:.2f}x "
-                  f"below the committed floor {args.predict_floor:.2f}x")
-            failed = True
+        gates.append((sweep["frontier_identical"],
+                      "analytic frontier differs from the exhaustive DES "
+                      "frontier", "design-space speedup", sweep["speedup"],
+                      args.predict_floor, "{:.2f}x"))
     if "experiment_all" in record:
         sweep = record["experiment_all"]
         print(f"experiment all: serial {sweep['serial_wall_s']:.1f} s, "
@@ -443,14 +336,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"{fleet['wall_s']:.1f} s = {fleet['jobs_per_min']:,.0f} "
               f"jobs/min (peak {fleet['peak_workers']} workers, outputs "
               f"identical: {fleet['outputs_identical']})")
-        if not fleet["outputs_identical"]:
-            print("FAIL: fleet results differ from the serial replay")
-            failed = True
-        if args.fleet_floor and fleet["jobs_per_min"] < args.fleet_floor:
-            print(f"FAIL: fleet throughput {fleet['jobs_per_min']:,.0f} "
-                  f"jobs/min below the committed floor "
-                  f"{args.fleet_floor:,.0f}")
-            failed = True
+        gates.append((fleet["outputs_identical"],
+                      "fleet results differ from the serial replay",
+                      "fleet throughput", fleet["jobs_per_min"],
+                      args.fleet_floor, "{:,.0f} jobs/min"))
+    failed = _failed(gates)
     print(f"record written to {args.out}")
     return 1 if failed else 0
 
@@ -459,7 +349,6 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     """Run the fleet service until SIGTERM/SIGINT drains it."""
     import asyncio
 
-    from repro.errors import ConfigurationError
     from repro.fleet.resources import ResourcePolicy
     from repro.fleet.service import FleetService
 
@@ -473,17 +362,11 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     chaos = None
     if args.chaos:
-        import json
-
         from repro.faults.fleet import FleetFaultPlan
 
         try:
-            document = json.loads(args.chaos)
-        except ValueError as exc:
-            raise SystemExit(f"--chaos is not valid JSON: {exc}")
-        try:
-            chaos = FleetFaultPlan.from_dict(document)
-        except ConfigurationError as exc:
+            chaos = FleetFaultPlan.from_dict(json.loads(args.chaos))
+        except (ValueError, ConfigurationError) as exc:
             raise SystemExit(f"--chaos: {exc}")
 
     async def _serve() -> None:
@@ -517,8 +400,6 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_submit(args: argparse.Namespace) -> int:
     """Submit jobs to a running service; stream and summarize results."""
-    import json
-
     from repro.errors import FleetError
     from repro.fleet.client import submit_sync
 
@@ -529,17 +410,9 @@ def _cmd_fleet_submit(args: argparse.Namespace) -> int:
             raise SystemExit(f"{args.spec_file}: expected a non-empty "
                              f"JSON list of job specs")
     else:
-        spec: dict = {"kind": "recover" if args.recover else "boot",
-                      "workload": args.workload, "repeat": args.repeat}
-        if args.features:
-            spec["bb"] = [f.strip() for f in args.features.split(",")]
-        elif args.no_bb:
-            spec["bb"] = "none"
-        if args.cores is not None:
-            spec["cores"] = args.cores
-        if args.faults:
-            spec["fault"] = {"preset": args.faults, "seed": args.seed}
-        specs = [spec]
+        kind = "recover" if args.recover else "boot"
+        specs = [{**_spec(args, args.faults, args.seed, kind),
+                  "repeat": args.repeat}]
     try:
         outcome = submit_sync(args.host, args.port, specs,
                               priority=args.priority)
@@ -565,8 +438,6 @@ def _cmd_fleet_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    import json
-
     from repro.errors import FleetError
     from repro.fleet.client import status_sync
 
@@ -598,7 +469,6 @@ def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
     except FleetError as exc:
         raise SystemExit(f"fleet campaign failed: {exc}")
     if args.json:
-        import json
         document = {key: getattr(result, key) for key in (
             "total_jobs", "unique_jobs", "executed", "cache_hits",
             "coalesced", "wall_s", "jobs_per_min", "serial_wall_s",
@@ -608,109 +478,72 @@ def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         print(campaign.render(result))
-    failed = False
-    if not result.identical:
-        print("FAIL: fleet results differ from the serial replay")
-        failed = True
-    if (args.throughput_floor
-            and result.jobs_per_min < args.throughput_floor):
-        print(f"FAIL: fleet throughput {result.jobs_per_min:,.0f} jobs/min "
-              f"below the committed floor {args.throughput_floor:,.0f}")
-        failed = True
-    return 1 if failed else 0
-
-
-def _open_generation_store(path: str):
-    from repro.generations import GenerationStore
-
-    store = GenerationStore(path)
-    if not store.initialized:
-        raise SystemExit(f"no generation store at {path} "
-                         f"(run 'repro generations init' first)")
-    return store
+    gate = (result.identical, "fleet results differ from the serial replay",
+            "fleet throughput", result.jobs_per_min, args.throughput_floor,
+            "{:,.0f} jobs/min")
+    return 1 if _failed([gate]) else 0
 
 
 def _cmd_generations_init(args: argparse.Namespace) -> int:
-    from repro.errors import GenerationError
     from repro.generations import GenerationStore
 
-    try:
-        GenerationStore.init(args.store)
-    except GenerationError as exc:
-        raise SystemExit(str(exc))
+    GenerationStore.init(args.store)
     print(f"initialized empty generation store at {args.store}")
     return 0
 
 
 def _cmd_generations_commit(args: argparse.Namespace) -> int:
-    from repro.errors import GenerationError
-    from repro.generations import Generation
+    from repro.generations import Generation, GenerationStore
 
-    store = _open_generation_store(args.store)
-    if args.features:
-        features = tuple(f.strip() for f in args.features.split(","))
-    elif args.no_bb:
-        features = ()
-    else:
-        features = tuple(BBConfig.full().enabled_features())
-    fault = ((args.fault, args.fault_seed) if args.fault else None)
-    try:
-        generation = Generation(
-            label=args.label, workload=args.workload, features=features,
-            cores=args.cores, fault=fault,
-            max_boot_attempts=args.max_boot_attempts,
-            regression_threshold=args.threshold,
-            parent=store.head(args.ref), notes=args.notes)
-        fingerprint = store.commit(generation, ref=args.ref)
-    except GenerationError as exc:
-        raise SystemExit(str(exc))
+    store = GenerationStore(args.store)  # every operation checks it exists
+    boot = resolve_spec(_spec(args, args.fault, args.fault_seed))
+    generation = Generation(
+        label=args.label, workload=args.workload,
+        features=tuple(boot.bb.enabled_features()), cores=args.cores,
+        fault=(args.fault, args.fault_seed) if args.fault else None,
+        max_boot_attempts=args.max_boot_attempts,
+        regression_threshold=args.threshold,
+        parent=store.head(args.ref), notes=args.notes)
+    fingerprint = store.commit(generation, ref=args.ref)
     print(f"[{args.ref} {fingerprint[:12]}] {generation.label}")
     return 0
 
 
 def _cmd_generations_log(args: argparse.Namespace) -> int:
-    from repro.errors import GenerationError
+    from repro.generations import GenerationStore
 
-    store = _open_generation_store(args.store)
     count = 0
-    try:
-        for generation in store.log(args.ref):
-            fault = (f" fault={generation.fault[0]}#{generation.fault[1]}"
-                     if generation.fault else "")
-            features = ",".join(generation.features) or "none"
-            print(f"{generation.fingerprint()[:12]} {generation.label:12s} "
-                  f"{generation.workload}/{features}{fault}"
-                  + (f"  # {generation.notes}" if generation.notes else ""))
-            count += 1
-    except GenerationError as exc:
-        raise SystemExit(str(exc))
+    for generation in GenerationStore(args.store).log(args.ref):
+        fault = (f" fault={generation.fault[0]}#{generation.fault[1]}"
+                 if generation.fault else "")
+        features = ",".join(generation.features) or "none"
+        print(f"{generation.fingerprint()[:12]} {generation.label:12s} "
+              f"{generation.workload}/{features}{fault}"
+              + (f"  # {generation.notes}" if generation.notes else ""))
+        count += 1
     if not count:
         print(f"ref {args.ref!r} has no generations")
     return 0
 
 
 def _cmd_generations_diff(args: argparse.Namespace) -> int:
-    from repro.errors import GenerationError
-    from repro.generations import diff_generations
+    from repro.generations import GenerationStore, diff_generations
 
-    store = _open_generation_store(args.store)
-    try:
-        if args.b is not None:
-            new = store.get(store.resolve(args.b))
-        else:
-            head = store.head(args.ref)
-            if head is None:
-                raise SystemExit(f"ref {args.ref!r} has no generations")
-            new = store.get(head)
-        if args.a is not None:
-            old = store.get(store.resolve(args.a))
-        elif new.parent is not None:
-            old = store.get(new.parent)
-        else:
-            raise SystemExit(f"{new.label!r} has no parent; name both "
-                             f"generations to diff")
-    except GenerationError as exc:
-        raise SystemExit(str(exc))
+    store = GenerationStore(args.store)
+    if args.b is not None:
+        new = store.get(store.resolve(args.b))
+    else:
+        head = store.head(args.ref)
+        if head is None:
+            raise SystemExit(f"ref {args.ref!r} has no generations")
+        new = store.get(head)
+    if args.a is not None:
+        old = store.get(store.resolve(args.a))
+    elif new.parent is not None:
+        old = store.get(new.parent)
+    else:
+        raise SystemExit(f"{new.label!r} has no parent; name both "
+                         f"generations to diff")
     delta = diff_generations(old, new)
     if not delta:
         print(f"{old.label} and {new.label} are identical")
@@ -724,13 +557,10 @@ def _cmd_generations_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_generations_rollback(args: argparse.Namespace) -> int:
-    from repro.errors import GenerationError
+    from repro.generations import GenerationStore
 
-    store = _open_generation_store(args.store)
-    try:
-        popped = store.rollback(args.ref)
-    except GenerationError as exc:
-        raise SystemExit(str(exc))
+    store = GenerationStore(args.store)
+    popped = store.rollback(args.ref)
     head = store.head(args.ref)
     target = f"{head[:12]}" if head else "(unborn)"
     print(f"rolled {args.ref!r} back from {popped.label} "
@@ -741,33 +571,24 @@ def _cmd_generations_rollback(args: argparse.Namespace) -> int:
 def _cmd_generations_rollout(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.errors import GenerationError
-    from repro.generations import demo_store, render_rollout, run_rollout
+    from repro.generations import (GenerationStore, demo_store,
+                                   render_rollout, run_rollout)
 
     jobs = _resolve_jobs(args.jobs)
-
-    def _run(store) -> dict:
-        return run_rollout(
-            store, target=args.target, baseline=args.baseline,
+    if args.demo is None and args.store is None:
+        raise SystemExit("name a store with --store, or use "
+                         "--demo clean|regressed|broken")
+    with tempfile.TemporaryDirectory() as tmp:
+        report = run_rollout(
+            demo_store(tmp, args.demo) if args.demo is not None
+            else GenerationStore(args.store),
+            target=args.target, baseline=args.baseline,
             devices=args.devices, waves=args.waves,
             update_seed=args.seed, flash_rate=args.flash_rate,
             corrupt_rate=args.corrupt_rate,
             halt_threshold=args.halt_threshold, jobs=jobs,
             use_fleet=args.fleet)
-
-    try:
-        if args.demo is not None:
-            with tempfile.TemporaryDirectory() as tmp:
-                report = _run(demo_store(tmp, args.demo))
-        else:
-            if args.store is None:
-                raise SystemExit("name a store with --store, or use "
-                                 "--demo clean|regressed|broken")
-            report = _run(_open_generation_store(args.store))
-    except GenerationError as exc:
-        raise SystemExit(str(exc))
     if args.json:
-        import json
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(render_rollout(report))
@@ -780,11 +601,8 @@ def _cmd_generations_rollout(args: argparse.Namespace) -> int:
 
 
 def _cmd_bootchart(args: argparse.Namespace) -> int:
-    workload = _resolve_workload(args.workload)
-    config = _resolve_config(args)
-    simulation = BootSimulation(workload, config, cores=args.cores)
-    report = simulation.run()
-    chart = BootChart.from_report(report)
+    simulation = resolve_spec(_spec(args)).simulation()
+    chart = BootChart.from_report(simulation.run())
     print(render_ascii(chart, max_rows=args.rows))
     if args.svg:
         with open(args.svg, "w") as handle:
@@ -808,7 +626,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     if args.json:
-        import json
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.summary())
@@ -816,7 +633,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    workload = _resolve_workload(args.workload)
+    workload = resolve_spec({"workload": args.workload}).factory()
     report = ServiceAnalyzer(workload.fresh_registry()).analyze()
     print(report.summary())
     return 1 if report.has_errors else 0
@@ -831,20 +648,30 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
+def _boot_flags(cores: bool = True) -> argparse.ArgumentParser:
+    """The shared boot flags, as an argparse parent (``recover`` has no
+    ``--cores``)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--workload", default="tv", help="workload name")
+    flags.add_argument("--no-bb", action="store_true",
+                       help="conventional boot (default is full BB)")
+    flags.add_argument("--features", help="comma-separated BB feature list")
+    if cores:
+        flags.add_argument("--cores", type=int, default=None,
+                           help="override the platform core count")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="BB (Booting Booster, EuroSys 2016) boot-stack simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    boot_flags = [_boot_flags()]
 
-    boot = sub.add_parser("boot", help="run one simulated cold boot")
-    boot.add_argument("--workload", default="tv", help="workload name")
-    boot.add_argument("--no-bb", action="store_true",
-                      help="conventional boot (default is full BB)")
-    boot.add_argument("--features", help="comma-separated BB feature list")
-    boot.add_argument("--cores", type=int, default=None,
-                      help="override the platform core count")
+    boot = sub.add_parser("boot", parents=boot_flags,
+                          help="run one simulated cold boot")
     boot.add_argument("--json", action="store_true",
                       help="emit the full boot report as JSON")
     boot.add_argument("--faults", metavar="PRESET",
@@ -855,24 +682,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="supervise the boot with the recovery ladder; "
                            "exit 0 clean, 3 recovered-degraded, "
                            "1 unrecoverable")
-    boot.add_argument("--branch", action=argparse.BooleanOptionalAction,
-                      default=False,
-                      help="route the boot through the checkpoint/fork "
-                           "sweep runner (identical output)")
     boot.set_defaults(fn=_cmd_boot)
 
     recover = sub.add_parser(
-        "recover", help="run the boot-recovery escalation ladder")
+        "recover", parents=[_boot_flags(cores=False)],
+        help="run the boot-recovery escalation ladder")
     recover.add_argument("preset", nargs="?",
                          help="fault preset for a single supervised run "
                               "(omit to sweep the recovery matrix)")
     recover.add_argument("--seed", type=int, default=1,
                          help="fault/recovery seed (default 1)")
-    recover.add_argument("--workload", default="tv")
-    recover.add_argument("--no-bb", action="store_true",
-                         help="base the ladder on a conventional boot")
-    recover.add_argument("--features",
-                         help="comma-separated BB feature list")
     recover.add_argument("--json", action="store_true",
                          help="emit the boot report / recovery section "
                               "as JSON")
@@ -907,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "scratch (identical results)")
     experiment.set_defaults(fn=_cmd_experiment)
 
-    faults = sub.add_parser("faults",
+    faults = sub.add_parser("faults", parents=boot_flags,
                             help="boot under a named fault preset")
     faults.add_argument("preset", nargs="?",
                         help="preset name (see --list-presets)")
@@ -915,24 +734,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="list the available fault presets")
     faults.add_argument("--seed", type=int, default=1,
                         help="fault plan seed (default 1)")
-    faults.add_argument("--workload", default="tv")
-    faults.add_argument("--no-bb", action="store_true",
-                        help="conventional boot (default is full BB)")
-    faults.add_argument("--features", help="comma-separated BB feature list")
-    faults.add_argument("--cores", type=int, default=None,
-                        help="override the platform core count")
     faults.set_defaults(fn=_cmd_faults)
 
     predict = sub.add_parser(
-        "predict",
+        "predict", parents=boot_flags,
         help="solve a boot analytically (closed form, no event loop)")
-    predict.add_argument("--workload", default="tv", help="workload name")
-    predict.add_argument("--no-bb", action="store_true",
-                         help="conventional boot (default is full BB)")
-    predict.add_argument("--features",
-                         help="comma-separated BB feature list")
-    predict.add_argument("--cores", type=int, default=None,
-                         help="override the platform core count")
     predict.add_argument("--json", action="store_true",
                          help="emit the prediction as JSON")
     predict.set_defaults(fn=_cmd_predict)
@@ -1019,15 +825,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(fn=_cmd_fleet_serve)
 
     submit = fleet_sub.add_parser(
-        "submit", help="submit jobs to a running fleet service")
+        "submit", parents=boot_flags,
+        help="submit jobs to a running fleet service")
     submit.add_argument("--host", default="127.0.0.1")
     submit.add_argument("--port", type=int, default=7016)
-    submit.add_argument("--workload", default="tv")
-    submit.add_argument("--no-bb", action="store_true",
-                        help="conventional boot (default is full BB)")
-    submit.add_argument("--features",
-                        help="comma-separated BB feature list")
-    submit.add_argument("--cores", type=int, default=None)
     submit.add_argument("--faults", metavar="PRESET",
                         help="boot under a named fault preset")
     submit.add_argument("--seed", type=int, default=1)
@@ -1101,6 +902,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="manage boot-entry generations and run OTA rollouts")
     gen_sub = generations.add_subparsers(dest="generations_command",
                                          required=True)
+    store_flags = argparse.ArgumentParser(add_help=False)
+    store_flags.add_argument("--store", required=True)
+    store_flags.add_argument("--ref", default="main")
 
     gen_init = gen_sub.add_parser(
         "init", help="create an empty generation store")
@@ -1109,18 +913,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen_init.set_defaults(fn=_cmd_generations_init)
 
     gen_commit = gen_sub.add_parser(
-        "commit", help="commit a new generation on top of a ref's head")
-    gen_commit.add_argument("--store", required=True)
-    gen_commit.add_argument("--ref", default="main")
+        "commit", parents=[store_flags, *boot_flags],
+        help="commit a new generation on top of a ref's head")
     gen_commit.add_argument("--label", required=True,
                             help="human-readable release name")
-    gen_commit.add_argument("--workload", default="tv",
-                            choices=sorted(WORKLOAD_FACTORIES))
-    gen_commit.add_argument("--features",
-                            help="comma-separated BB feature names")
-    gen_commit.add_argument("--no-bb", action="store_true",
-                            help="ship with every BB feature disabled")
-    gen_commit.add_argument("--cores", type=int, default=None)
     gen_commit.add_argument("--fault", default=None,
                             help="bake a fault preset into the image")
     gen_commit.add_argument("--fault-seed", type=int, default=0)
@@ -1132,15 +928,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen_commit.set_defaults(fn=_cmd_generations_commit)
 
     gen_log = gen_sub.add_parser(
-        "log", help="walk a ref's history, newest first")
-    gen_log.add_argument("--store", required=True)
-    gen_log.add_argument("--ref", default="main")
+        "log", parents=[store_flags],
+        help="walk a ref's history, newest first")
     gen_log.set_defaults(fn=_cmd_generations_log)
 
     gen_diff = gen_sub.add_parser(
-        "diff", help="field-level diff between two generations")
-    gen_diff.add_argument("--store", required=True)
-    gen_diff.add_argument("--ref", default="main")
+        "diff", parents=[store_flags],
+        help="field-level diff between two generations")
     gen_diff.add_argument("a", nargs="?", default=None,
                           help="old fingerprint/prefix (default: parent "
                                "of the new one)")
@@ -1149,9 +943,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen_diff.set_defaults(fn=_cmd_generations_diff)
 
     gen_rollback = gen_sub.add_parser(
-        "rollback", help="pop a ref's head back to its parent")
-    gen_rollback.add_argument("--store", required=True)
-    gen_rollback.add_argument("--ref", default="main")
+        "rollback", parents=[store_flags],
+        help="pop a ref's head back to its parent")
     gen_rollback.set_defaults(fn=_cmd_generations_rollback)
 
     gen_rollout = gen_sub.add_parser(
@@ -1192,13 +985,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "many rollbacks occurred")
     gen_rollout.set_defaults(fn=_cmd_generations_rollout)
 
-    chart = sub.add_parser("bootchart", help="boot and render the bootchart")
-    chart.add_argument("--workload", default="tv")
-    chart.add_argument("--no-bb", action="store_true")
-    chart.add_argument("--features")
+    chart = sub.add_parser("bootchart", parents=boot_flags,
+                           help="boot and render the bootchart")
     chart.add_argument("--rows", type=int, default=30)
-    chart.add_argument("--cores", type=int, default=None,
-                       help="override the platform core count")
     chart.add_argument("--svg", help="also write an SVG to this file")
     chart.add_argument("--trace",
                        help="also write a Chrome/Perfetto trace JSON")
@@ -1227,9 +1016,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A bad name or value (an unknown workload, feature, preset or ref, a
+    count below 1) exits 1 with one line naming it, not a traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigurationError, GenerationError) as exc:
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

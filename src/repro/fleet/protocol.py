@@ -33,15 +33,12 @@ Events:
   "id"?}``.
 * ``status`` — the service snapshot for ``op: status``.
 
-A job SPEC is declarative (no pickles cross the trust boundary):
-
-``{"kind": "boot"|"recover", "workload": <name>, "bb": "full"|"none"|
-[feature...], "cores": <int|null>, "fault": {"preset": <name>,
-"seed": <int>}|null, "repeat": <int>, "label": <str>}``
-
-``repeat`` expands server-side into that many tickets of the identical
-fingerprint — the single-flight scheduler executes one and fans the
-result out, which is exactly the fleet-of-identical-devices shape.
+A job SPEC is a declarative boot spec (:mod:`repro.bootspec`; no pickles
+cross the trust boundary).  ``repeat`` expands server-side into that many
+tickets of the identical fingerprint — the single-flight scheduler
+executes one and fans the result out, which is exactly the
+fleet-of-identical-devices shape.  One submission may expand to at most
+:data:`MAX_SUBMISSION_TICKETS` tickets.
 """
 
 from __future__ import annotations
@@ -49,25 +46,22 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from typing import Any, Callable
+from typing import Any
 
+from repro.bootspec import resolve_spec
 from repro.canonical import canonical_json
-from repro.core.config import BBConfig
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.runner.jobs import SimJob
-from repro.workloads import WORKLOAD_FACTORIES as _REGISTRY
-
-#: Named workload factories resolvable over the wire (the shared
-#: registry from :mod:`repro.workloads`, same names as the CLI).
-WORKLOAD_FACTORIES: dict[str, Callable[..., Any]] = dict(_REGISTRY)
+from repro.workloads import WORKLOAD_FACTORIES  # noqa: F401 - re-export
 
 #: Hard ceiling on one frame; a line longer than this is a protocol error
 #: (64 MiB comfortably holds a 100k-spec campaign submission).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Spec keys the decoder accepts; anything else is a typo worth rejecting.
-_SPEC_KEYS = frozenset({"kind", "workload", "bb", "cores", "fault",
-                        "repeat", "label"})
+#: Hard ceiling on the tickets one submission expands to after
+#: ``repeat``: about 100x the 10,080-ticket full fleet campaign, checked
+#: before a single ticket is built.
+MAX_SUBMISSION_TICKETS = 1_000_000
 
 
 def encode_frame(message: dict[str, Any]) -> bytes:
@@ -123,40 +117,6 @@ def submission_key(sid: str, specs: list[dict[str, Any]],
 # ----------------------------------------------------------------- job specs
 
 
-def _resolve_bb(value: Any) -> BBConfig:
-    if value is None or value == "full":
-        return BBConfig.full()
-    if value == "none":
-        return BBConfig.none()
-    if isinstance(value, list) and all(isinstance(f, str) for f in value):
-        config = BBConfig.none()
-        for feature in value:
-            try:
-                config = config.with_feature(feature, True)
-            except Exception as exc:
-                raise ProtocolError(f"unknown BB feature {feature!r}") from exc
-        return config
-    raise ProtocolError(f"bad 'bb' value {value!r}: expected 'full', "
-                        f"'none', or a list of feature names")
-
-
-def _resolve_fault(value: Any) -> Any:
-    if value is None:
-        return None
-    if not isinstance(value, dict) or "preset" not in value:
-        raise ProtocolError(f"bad 'fault' value {value!r}: expected "
-                            f"{{'preset': name, 'seed': int}}")
-    from repro.faults import build_preset
-    seed = value.get("seed", 1)
-    if type(seed) is not int:  # bool is an int subclass; see job_from_spec
-        raise ProtocolError(f"fault seed must be an int, got {seed!r}")
-    try:
-        return build_preset(value["preset"], seed=seed)
-    except Exception as exc:
-        raise ProtocolError(f"unknown fault preset "
-                            f"{value['preset']!r}") from exc
-
-
 def job_from_spec(spec: dict[str, Any]) -> tuple[SimJob, int]:
     """Resolve one declarative spec into ``(job, repeat)``.
 
@@ -165,42 +125,17 @@ def job_from_spec(spec: dict[str, Any]) -> tuple[SimJob, int]:
             a fleet client's typo must come back as a clean error event,
             not a worker crash three layers down.
     """
-    if not isinstance(spec, dict):
-        raise ProtocolError(f"job spec must be an object, got {spec!r}")
-    unknown = set(spec) - _SPEC_KEYS
-    if unknown:
-        raise ProtocolError(f"unknown job spec keys: {sorted(unknown)}")
-    kind = spec.get("kind", "boot")
-    workload_name = spec.get("workload", "tv")
-    factory = (WORKLOAD_FACTORIES.get(workload_name)
-               if isinstance(workload_name, str) else None)
-    if factory is None:
-        raise ProtocolError(
-            f"unknown workload {workload_name!r}; choose from "
-            f"{', '.join(sorted(WORKLOAD_FACTORIES))}")
-    # ``type(x) is int``, not isinstance: JSON true/false decode to bool,
-    # and ``{"cores": true}`` would fingerprint apart from ``{"cores": 1}``.
-    repeat = spec.get("repeat", 1)
-    if type(repeat) is not int or repeat < 1:
-        raise ProtocolError(f"'repeat' must be an int >= 1, got {repeat!r}")
-    cores = spec.get("cores")
-    if cores is not None and (type(cores) is not int or cores < 1):
-        raise ProtocolError(f"'cores' must be an int >= 1, got {cores!r}")
-    label = spec.get("label", "")
-    if not isinstance(label, str):
-        raise ProtocolError(f"'label' must be a string, got {label!r}")
-    plan = _resolve_fault(spec.get("fault"))
-    if kind == "boot":
-        job = SimJob.boot(factory, bb=_resolve_bb(spec.get("bb")),
-                          cores=cores, fault_plan=plan, label=label)
-    elif kind == "recover":
-        if cores is not None:
-            raise ProtocolError("'cores' is not supported on recover jobs")
-        job = SimJob.recover(factory, fault_plan=plan, label=label)
+    try:
+        boot = resolve_spec(spec)
+    except ConfigurationError as exc:
+        raise ProtocolError(str(exc)) from exc
+    if boot.kind == "recover":
+        job = SimJob.recover(boot.factory, fault_plan=boot.fault_plan,
+                             label=boot.label)
     else:
-        raise ProtocolError(f"unknown job kind {kind!r}; "
-                            f"expected 'boot' or 'recover'")
-    return job, repeat
+        job = SimJob.boot(boot.factory, bb=boot.bb, cores=boot.cores,
+                          fault_plan=boot.fault_plan, label=boot.label)
+    return job, boot.repeat
 
 
 def summarize_result(result: Any) -> dict[str, Any]:

@@ -200,6 +200,7 @@ class FleetService:
         self.address: tuple[str, int] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._supervisor: asyncio.Task | None = None
+        self._stopping = False
         self._batch_tasks: set[asyncio.Task] = set()
         self._client_tasks: set[asyncio.Task] = set()
         self._connections: dict[str, _Connection] = {}
@@ -319,10 +320,7 @@ class FleetService:
         while not self.scheduler.idle or self._batch_tasks:
             self._work_available.set()
             await asyncio.sleep(0.02)
-        if self._supervisor is not None:
-            self._supervisor.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._supervisor
+        await self._stop_supervisor()
         self.pool.shutdown(wait=True)
         await self._close_connections()
         if self.journal is not None:
@@ -340,10 +338,7 @@ class FleetService:
             await self._server.wait_closed()
         for task in list(self._batch_tasks):
             task.cancel()
-        if self._supervisor is not None:
-            self._supervisor.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._supervisor
+        await self._stop_supervisor()
         self.pool.shutdown(wait=False)
         await self._close_connections()
         if self.journal is not None:
@@ -363,10 +358,23 @@ class FleetService:
 
     # ---------------------------------------------------------- scheduling
 
+    async def _stop_supervisor(self) -> None:
+        """End the supervisor loop by flag, not by cancel.
+
+        The loop parks in ``asyncio.wait_for``, which on Python 3.11
+        swallows a cancel that lands in the same loop iteration as the
+        event it waits on; the loop then runs on and the await below
+        never returns.  A flag plus a wake-up cannot be lost.
+        """
+        self._stopping = True
+        self._work_available.set()
+        if self._supervisor is not None:
+            await self._supervisor
+
     async def _supervise(self) -> None:
         """Dispatch loop + periodic autoscale/sampling."""
         last_sample = time.monotonic()
-        while True:
+        while not self._stopping:
             self._dispatch()
             now = time.monotonic()
             if now - last_sample >= self.sample_interval:
@@ -576,9 +584,14 @@ class FleetService:
         if type(priority) is not int:  # bool is an int subclass
             raise protocol.ProtocolError(
                 f"'priority' must be an int, got {priority!r}")
+        resolved = [protocol.job_from_spec(spec) for spec in specs]
+        tickets = sum(repeat for _, repeat in resolved)
+        if tickets > protocol.MAX_SUBMISSION_TICKETS:
+            raise protocol.ProtocolError(
+                f"submission expands to {tickets} tickets, over the "
+                f"{protocol.MAX_SUBMISSION_TICKETS}-ticket limit")
         expanded: list[Any] = []
-        for spec in specs:
-            job, repeat = protocol.job_from_spec(spec)
+        for job, repeat in resolved:
             expanded.extend([job] * repeat)
         # Write-ahead: the submission is durable before the ack leaves.
         # A crash after this line is recoverable from the journal; a

@@ -147,10 +147,10 @@ def rollback_policy(target: Generation, baseline: Generation,
     return RecoveryPolicy(
         label=f"rollback:{target.label}",
         ladder=(RUNG_AS_CONFIGURED, RUNG_SLOT_ROLLBACK),
-        base_bb=target.bb(),
+        base_bb=target.boot_job().bb,
         max_boot_ns=threshold_ns,
         fallback_workload=baseline.workload,
-        fallback_bb=baseline.bb())
+        fallback_bb=baseline.boot_job().bb)
 
 
 def _rollback_job(target: Generation, baseline: Generation,

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.analysis.schema import validate_generation_dict
+from repro.bootspec import resolve_spec
 from repro.canonical import canonical_json
-from repro.core.config import BBConfig
-from repro.errors import GenerationError, SchemaError
+from repro.errors import ConfigurationError, GenerationError, SchemaError
 
 #: Default ref name, mirroring the git convention.
 DEFAULT_REF = "main"
@@ -76,33 +76,15 @@ class Generation:
         if self.fault is not None:
             preset, seed = self.fault
             object.__setattr__(self, "fault", (str(preset), int(seed)))
+        where = f"generation {self.label!r}"
         try:
-            validate_generation_dict(self.to_dict(),
-                                     where=f"generation {self.label!r}")
+            validate_generation_dict(self.to_dict(), where=where)
         except SchemaError as exc:
             raise GenerationError(str(exc)) from exc
-        self._check_names()
-
-    def _check_names(self) -> None:
-        """Names must resolve now, not when a campaign is half-done."""
-        from repro.faults import PRESETS
-        from repro.workloads import WORKLOAD_FACTORIES
-
-        if self.workload not in WORKLOAD_FACTORIES:
-            raise GenerationError(
-                f"generation {self.label!r}: unknown workload "
-                f"{self.workload!r}; choose from "
-                f"{', '.join(sorted(WORKLOAD_FACTORIES))}")
-        known = {f.name for f in fields(BBConfig)}
-        for feature in self.features:
-            if feature not in known:
-                raise GenerationError(
-                    f"generation {self.label!r}: unknown BB feature "
-                    f"{feature!r}")
-        if self.fault is not None and self.fault[0] not in PRESETS:
-            raise GenerationError(
-                f"generation {self.label!r}: unknown fault preset "
-                f"{self.fault[0]!r}; choose from {', '.join(sorted(PRESETS))}")
+        try:  # names must resolve now, not when a campaign is half-done
+            resolve_spec(self.boot_spec(label=self.label))
+        except ConfigurationError as exc:
+            raise GenerationError(f"{where}: {exc}") from exc
 
     # ------------------------------------------------------------ documents
 
@@ -155,20 +137,6 @@ class Generation:
         return replace(self, parent=parent)
 
     # ---------------------------------------------------------- simulation
-
-    def bb(self) -> BBConfig:
-        """The BB feature switchboard this generation boots under."""
-        config = BBConfig.none()
-        for feature in self.features:
-            config = config.with_feature(feature, True)
-        return config
-
-    def fault_plan(self):
-        """Compiled fault plan of the planted defect (``None`` if clean)."""
-        if self.fault is None:
-            return None
-        from repro.faults import build_preset
-        return build_preset(self.fault[0], seed=self.fault[1])
 
     def boot_spec(self, repeat: int = 1, label: str = "") -> dict[str, Any]:
         """This generation's boot as a declarative fleet wire spec."""

@@ -252,19 +252,11 @@ def bench_design_space(smoke: bool = False) -> dict[str, Any]:
 # Sweep benchmark.
 
 
-def _run_all_experiments(runner: SweepRunner | None) -> dict[str, str]:
+def _run_all_experiments(runner: SweepRunner) -> dict[str, str]:
     """Render every experiment artifact, routing boots through ``runner``."""
-    import inspect
+    from repro.experiments import EXPERIMENTS, run_and_render
 
-    from repro.cli import _experiments
-
-    rendered: dict[str, str] = {}
-    for exp_id, (run, render) in _experiments().items():
-        kwargs: dict[str, Any] = {}
-        if runner is not None and "runner" in inspect.signature(run).parameters:
-            kwargs["runner"] = runner
-        rendered[exp_id] = render(run(**kwargs))
-    return rendered
+    return {exp_id: run_and_render(exp_id, runner) for exp_id in EXPERIMENTS}
 
 
 def bench_sweep(jobs: int, cache_dir: str | None = None) -> dict[str, Any]:

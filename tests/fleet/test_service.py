@@ -6,6 +6,7 @@ through the fault-plan seed, and every service binds port 0.
 """
 
 import asyncio
+import time
 
 from repro.fleet import FleetClient, FleetService
 from repro.fleet.protocol import encode_frame, job_from_spec
@@ -146,6 +147,8 @@ class TestProtocolErrors:
                           "jobs": [{"workload": ["tv"]}]}),
             encode_frame({"op": "submit", "id": "bool-priority",
                           "priority": True, "jobs": [_spec(seed=0)]}),
+            encode_frame({"op": "submit", "id": "huge",
+                          "jobs": [{"repeat": 1_000_000_000}]}),
         ]
 
         async def scenario(service, host, port):
@@ -159,12 +162,14 @@ class TestProtocolErrors:
                 return events, outcome
 
         events, outcome = asyncio.run(_with_service(scenario))
-        assert [event["event"] for event in events] == ["error"] * 3
+        assert [event["event"] for event in events] == ["error"] * 4
         assert [event["id"] for event in events] == [
-            None, "unhashable", "bool-priority"]
+            None, "unhashable", "bool-priority", "huge"]
         assert "nests too deeply" in events[0]["message"]
         assert "unknown workload" in events[1]["message"]
         assert "'priority' must be an int" in events[2]["message"]
+        assert "1000000000 tickets" in events[3]["message"]
+        assert "1000000-ticket limit" in events[3]["message"]
         assert outcome.ok
 
 
@@ -223,6 +228,33 @@ class TestStatusAndDrain:
         outcome = asyncio.run(scenario())
         assert not outcome.ok
         assert any("draining" in err for err in outcome.errors.values())
+
+    def test_drain_straight_after_the_last_batch_completes(self):
+        # The last batch sets the supervisor's wake-up event; a drain in
+        # the same loop iteration must still stop the supervisor.  The
+        # drain is awaited directly (not under wait_for, which would move
+        # it to another task); the outer timeout turns a hang into a
+        # failure.
+        async def scenario():
+            service = FleetService(port=0, policy=_policy(max_workers=1))
+            await service.start()
+            try:
+                job, _ = job_from_spec({"workload": "camera"})
+                service.scheduler.submit("probe", job)
+                service._work_available.set()
+                while not service._batch_tasks:
+                    await asyncio.sleep(0.01)
+                await asyncio.gather(*service._batch_tasks)
+                start = time.monotonic()
+                await service.drain()
+                return time.monotonic() - start, service._supervisor.done()
+            finally:
+                if not service.draining:
+                    await service.stop()
+
+        elapsed, stopped = asyncio.run(asyncio.wait_for(scenario(), 20))
+        assert stopped
+        assert elapsed < 10
 
     def test_remote_drain_op(self):
         async def scenario():

@@ -74,6 +74,25 @@ def test_commit_unknown_feature_exits(store_dir):
               "--label", "bad", "--features", "warp_drive"])
 
 
+def test_commit_with_a_fault_preset(store_dir, capsys):
+    code, output = run_cli(capsys, "generations", "commit",
+                           "--store", store_dir, "--label", "broken",
+                           "--fault", "broken-tuner", "--fault-seed", "3",
+                           "--workload", "camera", "--no-bb")
+    assert code == 0
+    assert "broken" in output
+    code, output = run_cli(capsys, "generations", "log",
+                           "--store", store_dir)
+    assert code == 0
+    assert "camera/none fault=broken-tuner#3" in output
+
+
+def test_commit_unknown_workload_exits(store_dir):
+    with pytest.raises(SystemExit, match="unknown workload 'toaster'"):
+        main(["generations", "commit", "--store", store_dir,
+              "--label", "bad", "--workload", "toaster"])
+
+
 def test_diff_of_rootless_head_exits(store_dir, capsys):
     run_cli(capsys, "generations", "commit", "--store", store_dir,
             "--label", "root")

@@ -51,7 +51,7 @@ class TestGeneration:
 
     def test_bb_config_matches_features(self):
         generation = _gen(features=("preparser",))
-        assert generation.bb().enabled_features() == ["preparser"]
+        assert generation.boot_job().bb.enabled_features() == ["preparser"]
 
     def test_boot_spec_is_fleet_compatible(self):
         from repro.fleet.protocol import job_from_spec

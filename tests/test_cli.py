@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import WORKLOADS, build_parser, main
+
+REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def run_cli(capsys, *argv):
@@ -45,8 +52,29 @@ def test_boot_unknown_workload_exits(capsys):
 
 
 def test_boot_unknown_feature_raises(capsys):
-    with pytest.raises(AttributeError, match="unknown BB feature"):
+    with pytest.raises(SystemExit, match="unknown BB feature"):
         main(["boot", "--workload", "camera", "--features", "warp"])
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["boot", "--features", "warp"], "unknown BB feature 'warp'"),
+    (["faults", "flaky-services", "--features", "warp"],
+     "unknown BB feature 'warp'"),
+    (["predict", "--features", "warp"], "unknown BB feature 'warp'"),
+    (["bootchart", "--features", "warp"], "unknown BB feature 'warp'"),
+    (["recover", "transient-storage-burst", "--features", "warp"],
+     "unknown BB feature 'warp'"),
+    (["boot", "--cores", "0"], "'cores' must be an int >= 1, got 0"),
+    (["predict", "--cores", "0"], "'cores' must be an int >= 1, got 0"),
+    (["boot", "--faults", "warp-core-breach"],
+     "unknown fault preset 'warp-core-breach'"),
+    (["analyze", "--workload", "toaster"], "unknown workload 'toaster'"),
+])
+def test_bad_boot_input_exits_with_one_line(argv, match, capsys):
+    with pytest.raises(SystemExit, match=match) as excinfo:
+        main(argv)
+    assert "\n" not in str(excinfo.value.code)
+    assert capsys.readouterr().out == ""
 
 
 def test_experiment_list(capsys):
@@ -171,6 +199,84 @@ def test_experiment_design_space_smoke(capsys):
     assert code == 0
     assert "ranked analytically" in output
     assert "Design space — tv" in output
+
+
+# ------------------------------------------------------------------ faults
+
+def test_faults_list_presets_names_every_preset(capsys):
+    from repro.faults import PRESETS
+
+    code, output = run_cli(capsys, "faults", "--list-presets")
+    assert code == 0
+    assert [line.split()[0] for line in output.splitlines()] == list(PRESETS)
+
+
+def test_faults_preset_run_reports_the_degraded_boot(capsys):
+    code, output = run_cli(capsys, "faults", "flaky-services")
+    assert code == 0
+    lines = output.splitlines()
+    assert lines[0].startswith("flaky-services(seed=1")
+    assert lines[1].startswith("boot completed degraded at")
+    assert lines[-1].startswith("injected: ")
+
+
+def test_faults_unknown_preset_exits():
+    with pytest.raises(SystemExit, match="unknown fault preset"):
+        main(["faults", "warp-core-breach"])
+
+
+# ------------------------------------------------------------------- bench
+
+def test_bench_floor_failure_exits_nonzero(tmp_path, capsys):
+    # No branched matrix runs 1e9x faster than from scratch; the floor
+    # gate must trip while the identity gate holds.
+    out = tmp_path / "bench.json"
+    code, output = run_cli(capsys, "bench", "--skip-sweep", "--skip-predict",
+                           "--skip-fleet", "--events", "1000",
+                           "--checkpoint-cells", "4", "--branch-floor", "1e9",
+                           "--out", str(out))
+    assert code == 1
+    assert "FAIL: checkpoint speedup" in output
+    assert "branched results differ" not in output
+    record = json.loads(out.read_text())
+    assert record["checkpoint"]["outputs_identical"] is True
+
+
+# ------------------------------------------------------------ import cost
+
+def _modules_loaded_by(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, env=env,
+                            check=True, timeout=120)
+    return result.stdout.split()
+
+
+@pytest.mark.slow
+def test_boot_imports_no_runner_fleet_or_experiment_module():
+    loaded = _modules_loaded_by(
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['boot', '--workload', 'camera']) == 0\n"
+        "print(' '.join(sys.modules))\n")
+    assert "repro.core" in loaded
+    heavy = [name for name in loaded
+             if name in ("repro.fleet", "repro.runner")
+             or name.startswith(("repro.fleet.", "repro.runner.",
+                                 "repro.experiments."))]
+    assert heavy == []
+
+
+@pytest.mark.slow
+def test_one_experiment_module_imports_no_other():
+    loaded = _modules_loaded_by(
+        "import sys\n"
+        "import repro.experiments.design_space\n"
+        "print(' '.join(sys.modules))\n")
+    experiments = [name for name in loaded
+                   if name.startswith("repro.experiments.")]
+    assert experiments == ["repro.experiments.design_space"]
 
 
 # ------------------------------------------------------------------- fleet
