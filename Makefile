@@ -36,8 +36,10 @@ predict:
 	PYTHONPATH=src python -m repro predict
 	PYTHONPATH=src python -m repro experiment design-space --smoke
 
+# The paper-artifact benchmarks (needs pytest-benchmark): each asserts
+# its paper number, e.g. Fig. 1's 8.1 s boot within 5%.
 bench:
-	pytest benchmarks/ --benchmark-only -s
+	$(PYTEST) benchmarks/ --benchmark-only -s
 
 # CI-scale perf gate: event-queue + cache microbenchmarks plus a 24-cell
 # checkpoint/fork matrix and the 640-cell analytically pre-filtered

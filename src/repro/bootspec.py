@@ -52,6 +52,16 @@ class ResolvedSpec:
         return BootSimulation(self.factory(), self.bb, cores=self.cores,
                               fault_plan=self.fault_plan)
 
+    def recovery_policy(self):
+        """The policy a ``recover`` job of this spec runs, on the wire
+        and in the CLI alike: labelled and seeded by the fault preset
+        (``healthy`` and 1 without one), escalating from ``bb``."""
+        from repro.recovery.policy import RecoveryPolicy  # lazy: cheap boot
+
+        plan = self.fault_plan
+        return RecoveryPolicy(label=plan.label if plan else "healthy",
+                              seed=plan.seed if plan else 1, base_bb=self.bb)
+
 
 def _resolve_bb(value: Any) -> BBConfig:
     if value is None or value == "full":
@@ -82,6 +92,18 @@ def _resolve_fault(value: Any) -> FaultPlan | None:
     return build_preset(preset, seed=seed)
 
 
+def resolve_workload(name: Any,
+                     what: str = "workload") -> Callable[[], Workload]:
+    """The registry factory named ``name``; a ``ConfigurationError``
+    ("unknown <what> ...") otherwise."""
+    factory = WORKLOAD_FACTORIES.get(name) if isinstance(name, str) else None
+    if factory is None:
+        raise ConfigurationError(
+            f"unknown {what} {name!r}; choose from "
+            f"{', '.join(sorted(WORKLOAD_FACTORIES))}")
+    return factory
+
+
 def resolve_spec(spec: Any) -> ResolvedSpec:
     """Resolve one boot spec.
 
@@ -98,12 +120,7 @@ def resolve_spec(spec: Any) -> ResolvedSpec:
     if kind not in ("boot", "recover"):
         raise ConfigurationError(f"unknown job kind {kind!r}; "
                                  f"expected 'boot' or 'recover'")
-    name = spec.get("workload", "tv")
-    factory = WORKLOAD_FACTORIES.get(name) if isinstance(name, str) else None
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown workload {name!r}; choose from "
-            f"{', '.join(sorted(WORKLOAD_FACTORIES))}")
+    factory = resolve_workload(spec.get("workload", "tv"))
     # ``type(x) is int``, not isinstance: JSON true/false decode to bool,
     # and ``{"cores": true}`` would fingerprint apart from ``{"cores": 1}``.
     repeat, cores = spec.get("repeat", 1), spec.get("cores")

@@ -119,8 +119,7 @@ def _cmd_boot(args: argparse.Namespace) -> int:
 
     boot = resolve_spec(_spec(args, args.faults, args.seed))
     if args.recover:
-        return _recover_once(boot, args.faults or "healthy", args.seed,
-                             args.json)
+        return _recover_once(boot, args.json)
     try:
         report = boot.simulation().run()
     except DegradedBootError as exc:
@@ -146,14 +145,12 @@ def _cmd_boot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recover_once(boot: ResolvedSpec, label: str, seed: int,
-                  as_json: bool) -> int:
+def _recover_once(boot: ResolvedSpec, as_json: bool) -> int:
     """Run one supervised recovery and map its outcome to an exit code."""
-    from repro.recovery import BootSupervisor, RecoveryPolicy
+    from repro.recovery import BootSupervisor
     from repro.verify import InvariantMonitor
 
-    policy = RecoveryPolicy(label=label, seed=seed, base_bb=boot.bb)
-    outcome = BootSupervisor(boot.factory(), policy,
+    outcome = BootSupervisor(boot.factory(), boot.recovery_policy(),
                              fault_plan=boot.fault_plan,
                              monitor=InvariantMonitor()).run()
     if not as_json:
@@ -173,7 +170,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     jobs = _resolve_jobs(args.jobs)  # validate even on the single-run path
     if args.preset is not None:
         boot = resolve_spec(_spec(args, args.preset, args.seed))
-        return _recover_once(boot, args.preset, args.seed, args.json)
+        return _recover_once(boot, args.json)
     from repro.experiments import recovery_matrix
     from repro.runner import ResultCache, SweepRunner
 
@@ -677,7 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
     boot.add_argument("--faults", metavar="PRESET",
                       help="boot under a named fault preset")
     boot.add_argument("--seed", type=int, default=1,
-                      help="fault/recovery seed (default 1)")
+                      help="seed of the --faults plan, and of --recover "
+                           "with it (default 1)")
     boot.add_argument("--recover", action="store_true",
                       help="supervise the boot with the recovery ladder; "
                            "exit 0 clean, 3 recovered-degraded, "

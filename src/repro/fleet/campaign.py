@@ -12,11 +12,11 @@ instead of one batch sweep.  The campaign:
    :class:`~repro.fleet.service.FleetService` on an ephemeral port, or
    to an already-running ``repro fleet serve`` in restart-survivable
    chunks — and streams results,
-3. replays every **unique** job through a fresh serial
-   :class:`~repro.runner.sweep.SweepRunner` and compares the stream
-   ticket by ticket, in submission order, against the canonical
-   encodings — the fleet-vs-serial identity oracle, which the
-   ``fleet-identity`` and ``fleet-crash`` verify groups both use — and
+3. replays every **unique** job serially and compares the stream
+   ticket by ticket, in submission order
+   (:class:`~repro.runner.oracle.SerialReplay`) — the fleet-vs-serial
+   identity oracle, which the ``fleet-identity`` and ``fleet-crash``
+   verify groups both use — and
 4. reports sustained throughput (jobs/minute) for the floor gate in
    ``make fleet-smoke``.
 """
@@ -32,10 +32,9 @@ from repro.analysis.report import format_table
 from repro.errors import FleetError
 from repro.fleet.client import FleetClient, RetryPolicy, SubmissionOutcome
 from repro.fleet.resources import ResourcePolicy
-from repro.fleet.service import FleetService
-from repro.runner.branch import canonical_bytes
-from repro.runner.sweep import SweepRunner
 from repro.fleet.protocol import job_from_spec
+from repro.fleet.service import FleetService
+from repro.runner.oracle import SerialReplay
 
 #: Fault presets that model field failures worth sweeping at fleet scale.
 _FAULT_PRESETS = ("flaky-services", "storage-storm", "missing-device")
@@ -175,11 +174,7 @@ def run(smoke: bool = False, total_jobs: int | None = None,
     stable ``campaign-N`` id, so a journaled service resumes what it
     acked, the client resubmits what it never saw acked, and the
     content-addressed cache makes both paths converge on identical
-    bytes.
-
-    The identity oracle then replays every unique fingerprint through a
-    fresh serial ``SweepRunner`` (separate caches, separate processes)
-    and compares the stream ticket by ticket, in submission order.
+    bytes, which :func:`_compare_with_serial` then checks.
     """
     from repro.runner.schedule import resolve_worker_count
 
@@ -274,25 +269,11 @@ def _compare_with_serial(specs: list[dict[str, Any]],
     """The identity oracle; returns ``(mismatches, unique_jobs,
     serial_wall_s)``.
 
-    Expands ``specs`` in submission order, runs each unique fingerprint
-    once through a fresh serial :class:`~repro.runner.sweep.SweepRunner`,
-    and requires ticket ``i`` of the concatenated stream to carry the
-    ``i``-th expected fingerprint and exactly its canonical bytes.
+    :class:`~repro.runner.oracle.SerialReplay` replays ``specs`` and
+    compares the concatenated stream ticket by ticket, in submission
+    order; the streamed errors and the ticket count are checked here.
     """
-    expected: list[str] = []
-    unique: dict[str, Any] = {}
-    for spec in specs:
-        job, repeat = job_from_spec(spec)
-        fingerprint = job.fingerprint()
-        unique.setdefault(fingerprint, job)
-        expected.extend([fingerprint] * repeat)
-    started = time.perf_counter()
-    with SweepRunner(jobs=1) as runner:
-        results = runner.run(list(unique.values()))
-    serial_wall_s = time.perf_counter() - started
-    serial = {fingerprint: canonical_bytes(result)
-              for fingerprint, result in zip(unique, results)}
-
+    replay = SerialReplay([job_from_spec(spec) for spec in specs])
     mismatches: list[str] = []
     fingerprints: list[str] = []
     payloads: list[bytes] = []
@@ -303,19 +284,13 @@ def _compare_with_serial(specs: list[dict[str, Any]],
             mismatches.append(f"{where}: streamed error: {message}")
         fingerprints += outcome.fingerprints
         payloads += outcome.payloads
+    expected = len(replay.fingerprints)
     acked = sum(outcome.total for outcome in outcomes)
-    if len(payloads) != len(expected) or acked != len(expected):
+    if len(payloads) != expected or acked != expected:
         mismatches.append(f"delivered {len(payloads)} results ({acked} "
-                          f"acked) for {len(expected)} submitted jobs")
-    for index, (want, got, payload) in enumerate(
-            zip(expected, fingerprints, payloads)):
-        if got != want:
-            mismatches.append(f"job {index}: fleet fingerprint {got[:12]} "
-                              f"where the serial replay has {want[:12]}")
-        elif payload != serial[want]:
-            mismatches.append(f"job {index}: fleet payload differs from "
-                              f"the serial replay ({want[:12]})")
-    return mismatches, len(unique), serial_wall_s
+                          f"acked) for {expected} submitted jobs")
+    mismatches += replay.compare(zip(fingerprints, payloads), "fleet")
+    return mismatches, replay.unique_jobs, replay.wall_s
 
 
 def render(result: CampaignResult) -> str:

@@ -48,10 +48,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.atomic import atomic_write_bytes
 from repro.canonical import canonical_json
 from repro.errors import JournalError
 
@@ -184,32 +185,6 @@ def load_checkpoint(path: Path) -> dict[str, dict[str, Any]]:
         raise JournalError(f"{path}: checkpoint is not an "
                            f"{{'open': {{...}}}} document")
     return dict(document["open"])
-
-
-# ------------------------------------------------------------ fsync helpers
-
-
-def _fsync_dir(path: Path) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without O_RDONLY dirs
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write ``payload`` so a crash leaves either the old file or the new
-    one, never a torn mix: temp file + fsync + rename + directory fsync."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
 
 
 # -------------------------------------------------------------- the journal
@@ -371,12 +346,4 @@ class JobJournal:
 
     def status(self) -> dict[str, Any]:
         """JSON-able snapshot for ``op: status``."""
-        return {
-            "enabled": True,
-            "depth": self.depth,
-            "appended": self.stats.appended,
-            "replayed": self.stats.replayed,
-            "skipped_tail": self.stats.skipped_tail,
-            "checkpoints": self.stats.checkpoints,
-            "since_checkpoint": self.stats.since_checkpoint,
-        }
+        return {"enabled": True, "depth": self.depth, **asdict(self.stats)}

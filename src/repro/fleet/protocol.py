@@ -130,8 +130,8 @@ def job_from_spec(spec: dict[str, Any]) -> tuple[SimJob, int]:
     except ConfigurationError as exc:
         raise ProtocolError(str(exc)) from exc
     if boot.kind == "recover":
-        job = SimJob.recover(boot.factory, fault_plan=boot.fault_plan,
-                             label=boot.label)
+        job = SimJob.recover(boot.factory, policy=boot.recovery_policy(),
+                             fault_plan=boot.fault_plan, label=boot.label)
     else:
         job = SimJob.boot(boot.factory, bb=boot.bb, cores=boot.cores,
                           fault_plan=boot.fault_plan, label=boot.label)

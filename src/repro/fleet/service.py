@@ -44,6 +44,7 @@ import asyncio
 import contextlib
 import signal
 import time
+from dataclasses import asdict
 from typing import Any
 
 from repro.faults.fleet import FleetFaultInjector, FleetFaultPlan
@@ -80,33 +81,27 @@ class _Submission:
         self.journal_key = journal_key
 
 
-class _ResumedSubmission:
-    """One journal-recovered submission being re-driven to completion."""
-
-    __slots__ = ("key", "client", "total", "delivered", "errors")
-
-    def __init__(self, key: str, client: str, total: int):
-        self.key = key
-        self.client = client
-        self.total = total
-        self.delivered = 0
-        self.errors = 0
-
-
 class _Connection:
-    """One client connection: its stream, submissions, and payload memory."""
+    """One client connection: its stream, submissions, and payload memory
+    (no ``writer``: a journal-resumed submission, delivered unsent)."""
 
-    def __init__(self, key: str, writer: asyncio.StreamWriter,
+    def __init__(self, key: str, writer: asyncio.StreamWriter | None,
                  chaos: FleetFaultInjector | None = None, index: int = 0):
         self.key = key
         self.writer = writer
         self.submissions: dict[str, _Submission] = {}
         self.ticket_meta: dict[int, tuple[str, int]] = {}  # id -> (sid, index)
         self.sent_payloads: set[str] = set()
-        self.closed = False
+        self.closed = writer is None
         self.chaos = chaos
         self.index = index
         self.frames_sent = 0
+
+    def close(self) -> None:
+        self.closed = True
+        if self.writer is not None:
+            with contextlib.suppress(ConnectionError):
+                self.writer.close()
 
     async def send(self, message: dict[str, Any]) -> None:
         if self.closed:
@@ -192,7 +187,6 @@ class FleetService:
         self.resumed_total = 0
         self.resumed_done = 0
         self._retry_counts: dict[str, int] = {}
-        self._resumed: dict[str, _ResumedSubmission] = {}
         self._journal_refs: dict[str, int] = {}
         self._batches_dispatched = 0
         self.draining = False
@@ -219,58 +213,33 @@ class FleetService:
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
         self._supervisor = asyncio.create_task(self._supervise())
-        self._resume_journal()
+        await self._resume_journal()
         return self.address
 
-    def _resume_journal(self) -> None:
+    async def _resume_journal(self) -> None:
         """Resubmit every submission the journal says never finished.
 
-        Each open record is replayed under a synthetic ``journal:`` client
-        — results are re-executed (or cache-hit) and absorbed, and the
-        record is marked done only once every ticket resolves, so another
-        crash mid-recovery just resumes again.  Sorted keys keep recovery
-        order deterministic.
+        Each open record becomes an ordinary submission on a writer-less
+        ``journal:<key>`` connection, marked done only once every ticket
+        resolves, so another crash mid-recovery just resumes again.
+        Sorted keys keep recovery order deterministic.
         """
         if self.journal is None:
             return
         for key in sorted(self.journal.open_submissions):
             record = self.journal.open_submissions[key]
-            specs = record.get("specs")
-            priority = record.get("priority", 0)
-            if not isinstance(priority, int):
-                priority = 0
-            jobs: list[Any] = []
+            connection = _Connection(f"journal:{key}", None)
             try:
-                for spec in (specs if isinstance(specs, list) else []):
-                    job, repeat = protocol.job_from_spec(spec)
-                    jobs.extend([job] * repeat)
-            except protocol.ProtocolError:
-                jobs = []  # the registry changed under the journal
-            if not jobs:
+                self._open_submission(connection, str(record.get("sid")),
+                                      record.get("specs"),
+                                      record.get("priority", 0), key)
+            except protocol.ProtocolError:  # the registry changed
                 self.journal.record_done(key)
                 continue
-            client = f"journal:{key}"
-            self._resumed[client] = _ResumedSubmission(key, client,
-                                                      len(jobs))
-            self._journal_retain(key)
+            self._connections[connection.key] = connection
             self.resumed_total += 1
-            for job in jobs:
-                self.scheduler.submit(client, job, priority=priority)
-            self._absorb_resumed(client)  # cache hits resolve instantly
+            await self._deliver(connection)  # cache hits resolve instantly
         self._work_available.set()
-
-    def _absorb_resumed(self, client: str) -> None:
-        tracker = self._resumed.get(client)
-        if tracker is None:
-            return
-        for ticket in self.scheduler.drain(client):
-            tracker.delivered += 1
-            if ticket.error is not None:
-                tracker.errors += 1
-        if tracker.delivered >= tracker.total:
-            del self._resumed[client]
-            self.resumed_done += 1
-            self._journal_release(tracker.key)
 
     # Two submissions can share one journal content key — identical
     # (sid, specs, priority) triples from different connections collapse
@@ -312,36 +281,32 @@ class FleetService:
         if self.draining:
             await self._drained.wait()
             return
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # Let queued + in-flight work finish; dispatch keeps running.
-        while not self.scheduler.idle or self._batch_tasks:
-            self._work_available.set()
-            await asyncio.sleep(0.02)
-        await self._stop_supervisor()
-        self.pool.shutdown(wait=True)
-        await self._close_connections()
-        if self.journal is not None:
-            # Clean drain: fold the (normally empty) open set into the
-            # checkpoint so the next serve starts from a compact journal.
-            self.journal.checkpoint()
-            self.journal.close()
-        self._drained.set()
+        await self._shutdown(graceful=True)
 
     async def stop(self) -> None:
         """Hard stop (tests): cancel everything, reap workers."""
+        await self._shutdown(graceful=False)
+
+    async def _shutdown(self, graceful: bool) -> None:
         self.draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        # Graceful: let queued + in-flight work finish (dispatch keeps
+        # running); hard: cancel the in-flight batches.
+        while graceful and (not self.scheduler.idle or self._batch_tasks):
+            self._work_available.set()
+            await asyncio.sleep(0.02)
         for task in list(self._batch_tasks):
             task.cancel()
         await self._stop_supervisor()
-        self.pool.shutdown(wait=False)
+        self.pool.shutdown(wait=graceful)
         await self._close_connections()
         if self.journal is not None:
+            if graceful:
+                # Fold the (normally empty) open set into the checkpoint
+                # so the next serve starts from a compact journal.
+                self.journal.checkpoint()
             self.journal.close()
         self._drained.set()
 
@@ -349,9 +314,7 @@ class FleetService:
         """Close every client transport and reap the handler tasks, so
         no half-dead reader task lingers into event-loop teardown."""
         for connection in list(self._connections.values()):
-            connection.closed = True
-            with contextlib.suppress(ConnectionError):
-                connection.writer.close()
+            connection.close()
         if self._client_tasks:
             await asyncio.gather(*list(self._client_tasks),
                                  return_exceptions=True)
@@ -448,9 +411,6 @@ class FleetService:
 
     async def _flush_clients(self, clients: list[str]) -> None:
         for key in clients:
-            if key in self._resumed:
-                self._absorb_resumed(key)
-                continue
             connection = self._connections.get(key)
             if connection is None:
                 self.scheduler.drain(key)  # discard: client is gone
@@ -462,8 +422,9 @@ class FleetService:
         for ticket in self.scheduler.drain(connection.key):
             sid, index = connection.ticket_meta.pop(id(ticket), ("?", -1))
             submission = connection.submissions.get(sid)
-            await connection.send(self._result_frame(connection, ticket,
-                                                     sid, index))
+            if not connection.closed:
+                await connection.send(self._result_frame(connection, ticket,
+                                                         sid, index))
             if submission is None:
                 continue
             submission.delivered += 1
@@ -484,6 +445,9 @@ class FleetService:
                 # after: the client's retry resubmits and cache-hits.
                 if submission.journal_key is not None:
                     self._journal_release(submission.journal_key)
+                if connection.writer is None:  # journal-resumed: retire
+                    self._connections.pop(connection.key, None)
+                    self.resumed_done += 1
                 await connection.send({
                     "event": "done", "id": sid, "total": submission.total,
                     "elapsed_s": round(
@@ -547,9 +511,7 @@ class FleetService:
             for submission in connection.submissions.values():
                 if submission.journal_key is not None:
                     self._journal_release(submission.journal_key)
-            connection.closed = True
-            with contextlib.suppress(ConnectionError):
-                writer.close()
+            connection.close()
 
     async def _handle_frame(self, connection: _Connection,
                             line: bytes) -> None:
@@ -578,9 +540,29 @@ class FleetService:
                                               "submission rejected"})
             return
         specs = message.get("jobs")
+        priority = message.get("priority", 0)
+        journal_key = (None if self.journal is None
+                       else protocol.submission_key(sid, specs, priority))
+        submission = self._open_submission(connection, sid, specs, priority,
+                                           journal_key)
+        await connection.send({"event": "ack", "id": sid,
+                               "jobs": submission.total})
+        self._work_available.set()
+        # Cache hits may already be deliverable.
+        await self._deliver(connection)
+
+    def _open_submission(self, connection: _Connection, sid: str,
+                         specs: Any, priority: Any,
+                         journal_key: str | None) -> _Submission:
+        """Validate, journal and queue one submission (live or resumed).
+
+        Raises :class:`ProtocolError` before changing any state.  The
+        journal write is write-ahead: durable before the caller acks.
+        ``record_submit`` is idempotent on the content key, so a retried
+        or resumed submission appends nothing.
+        """
         if not isinstance(specs, list) or not specs:
             raise protocol.ProtocolError("'jobs' must be a non-empty list")
-        priority = message.get("priority", 0)
         if type(priority) is not int:  # bool is an int subclass
             raise protocol.ProtocolError(
                 f"'priority' must be an int, got {priority!r}")
@@ -590,25 +572,16 @@ class FleetService:
             raise protocol.ProtocolError(
                 f"submission expands to {tickets} tickets, over the "
                 f"{protocol.MAX_SUBMISSION_TICKETS}-ticket limit")
-        expanded: list[Any] = []
-        for job, repeat in resolved:
-            expanded.extend([job] * repeat)
-        # Write-ahead: the submission is durable before the ack leaves.
-        # A crash after this line is recoverable from the journal; a
-        # crash before it means the client never saw an ack and owns the
-        # retry.  record_submit is idempotent on the content key, so a
-        # retried submission does not double-journal.
-        journal_key: str | None = None
-        if self.journal is not None:
-            journal_key = protocol.submission_key(sid, specs, priority)
+        if journal_key is not None:
             self._journal_retain(journal_key)
             self.journal.record_submit(journal_key, sid, specs, priority)
-        submission = _Submission(sid, len(expanded), journal_key)
+        submission = _Submission(sid, tickets, journal_key)
         replaced = connection.submissions.get(sid)
         if replaced is not None and replaced.journal_key is not None:
             self._journal_release(replaced.journal_key)  # keep refs balanced
         connection.submissions[sid] = submission
         refused: dict[str, str] = {}
+        expanded = (job for job, repeat in resolved for _ in range(repeat))
         for index, job in enumerate(expanded):
             ticket = self.scheduler.submit(connection.key, job,
                                            priority=priority)
@@ -620,11 +593,7 @@ class FleetService:
         # diagnosis instead of being handed back to a pool they kill.
         for fingerprint, diagnosis in refused.items():
             self.scheduler.fail(fingerprint, diagnosis)
-        await connection.send({"event": "ack", "id": sid,
-                               "jobs": len(expanded)})
-        self._work_available.set()
-        # Cache hits may already be deliverable.
-        await self._deliver(connection)
+        return submission
 
     # -------------------------------------------------------------- status
 
@@ -638,7 +607,8 @@ class FleetService:
             "uptime_s": round(time.monotonic() - self.started_at, 3),
             "queue_depth": self.scheduler.queued,
             "inflight": self.scheduler.inflight,
-            "connections": len(self._connections),
+            "connections": sum(connection.writer is not None
+                               for connection in self._connections.values()),
             "workers": [{
                 "shard": status.shard_id,
                 "busy": status.busy,
@@ -656,21 +626,12 @@ class FleetService:
                 "min_workers": self.policy.min_workers,
                 "max_workers": self.policy.max_workers,
             },
-            "scheduler": {
-                "submitted": stats.submitted,
-                "cache_hits": stats.cache_hits,
-                "coalesced": stats.coalesced,
-                "dispatched": stats.dispatched,
-                "completed": stats.completed,
-                "failed": stats.failed,
-                "requeued": stats.requeued,
-                "delivered": stats.delivered,
-            },
+            "scheduler": asdict(stats),
             "journal": ({
                 **self.journal.status(),
                 "resumed": self.resumed_total,
                 "resumed_done": self.resumed_done,
-                "resuming": len(self._resumed),
+                "resuming": self.resumed_total - self.resumed_done,
             } if self.journal is not None else {"enabled": False}),
             "resilience": {
                 "max_job_retries": self.max_job_retries,
@@ -685,13 +646,8 @@ class FleetService:
                     self._chaos.connection_drops
                     if self._chaos is not None else 0),
             },
-            "cache": {
-                "memory_hits": cache_stats.memory_hits,
-                "disk_hits": cache_stats.disk_hits,
-                "misses": cache_stats.misses,
-                "stores": cache_stats.stores,
-                "evictions": cache_stats.evictions,
-            },
+            "cache": {key: getattr(cache_stats, key) for key in (
+                "memory_hits", "disk_hits", "misses", "stores", "evictions")},
         }
 
 

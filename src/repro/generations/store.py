@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.analysis.schema import validate_generation_dict
+from repro.atomic import atomic_write_bytes
 from repro.bootspec import resolve_spec
 from repro.canonical import canonical_json
 from repro.errors import ConfigurationError, GenerationError, SchemaError
@@ -222,13 +223,9 @@ class GenerationStore:
 
     def _save_refs(self, refs: dict[str, str]) -> None:
         # The refs table is the store's single mutable file: a torn
-        # write here orphans every ref at once.  The journal's atomic
-        # write (temp + fsync + rename + guarded directory fsync — the
-        # guard matters on platforms where directories cannot be
-        # opened) means a crash at any instant leaves either the old
-        # complete table or the new complete table, never a prefix.
-        from repro.fleet.journal import atomic_write_bytes
-
+        # write here orphans every ref at once.  The atomic write means
+        # a crash at any instant leaves either the old complete table or
+        # the new complete table, never a prefix.
         payload = json.dumps(dict(sorted(refs.items())), indent=2,
                              sort_keys=True) + "\n"
         atomic_write_bytes(self.refs_path, payload.encode("ascii"))
@@ -241,7 +238,9 @@ class GenerationStore:
         fingerprint = generation.fingerprint()
         path = self.objects_dir / f"{fingerprint}.json"
         if not path.exists():
-            path.write_bytes(generation.canonical_bytes() + b"\n")
+            # Atomic: an existing object is always whole, so skipping
+            # the rewrite can never keep a torn one alive.
+            atomic_write_bytes(path, generation.canonical_bytes() + b"\n")
         return fingerprint
 
     def get(self, fingerprint: str) -> Generation:

@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING
 from repro.core.bb import BootSimulation
 from repro.core.config import BBConfig
 from repro.core.degraded import DegradedBootError
-from repro.errors import ConfigurationError
 from repro.graph.depgraph import DependencyGraph
 from repro.initsys.registry import UnitRegistry
 from repro.initsys.units import (RestartPolicy, ServiceType, SimCost, Unit,
@@ -236,13 +235,10 @@ class BootSupervisor:
         policy = self.policy
         if policy.fallback_workload is None:
             return AttemptRecord(RUNG_SLOT_ROLLBACK, OUTCOME_SKIPPED, 0), None
-        from repro.workloads import WORKLOAD_FACTORIES
+        from repro.bootspec import resolve_workload
 
-        factory = WORKLOAD_FACTORIES.get(policy.fallback_workload)
-        if factory is None:
-            raise ConfigurationError(
-                f"unknown fallback workload {policy.fallback_workload!r}; "
-                f"choose from {', '.join(sorted(WORKLOAD_FACTORIES))}")
+        factory = resolve_workload(policy.fallback_workload,
+                                   what="fallback workload")
         bb = (policy.fallback_bb if policy.fallback_bb is not None
               else BBConfig.none())
         sim = BootSimulation(factory(), bb=bb, fault_plan=None,

@@ -10,12 +10,14 @@ Six measurements seed the repo's perf trajectory, recorded to
   report through the in-memory :class:`~repro.runner.cache.ResultCache`.
 * **Checkpoint benchmark** — cold-cache wall time of a 100+-cell
   late-phase fault matrix executed from scratch versus through the
-  checkpoint/fork engine (:mod:`repro.runner.branch`), with a canonical
-  byte-identity check between the two runs' results.  The matrix is
-  derived from a prefix probe: deferred-task faults (post-completion
-  divergence), transient flakes of the latest-queried services, and
-  settle jitter — cells whose shared prefix is long by construction,
-  which is exactly the sweep shape branching exists for.
+  checkpoint/fork engine (:mod:`repro.runner.branch`); the from-scratch
+  leg is the serial-identity oracle
+  (:class:`~repro.runner.oracle.SerialReplay`) that checks the branched
+  results byte for byte.  The matrix is derived from a prefix probe:
+  deferred-task faults (post-completion divergence), transient flakes
+  of the latest-queried services, and settle jitter — cells whose
+  shared prefix is long by construction, which is exactly the sweep
+  shape branching exists for.
 * **Design-space benchmark** — wall time of the analytically pre-filtered
   design-space sweep (:mod:`repro.experiments.design_space`: the
   closed-form boot predictor ranks 640 feature/core cells and only the
@@ -41,6 +43,11 @@ from repro.runner.cache import ResultCache
 from repro.runner.jobs import code_version
 from repro.runner.sweep import SweepRunner
 from repro.sim.events import EventQueue
+
+
+def _fields(source: Any, *names: str) -> dict[str, Any]:
+    """The named attributes of ``source`` as a record section."""
+    return {name: getattr(source, name) for name in names}
 
 
 # --------------------------------------------------------------------------
@@ -185,18 +192,17 @@ def bench_checkpoint(cells: int = 120,
 
     Both legs run serially (``jobs=1``) on fresh caches, so the measured
     ratio is purely the checkpoint/fork engine's doing — no process pool,
-    no warm cache on either side.  Results are compared cell-by-cell via
-    :func:`~repro.runner.branch.canonical_bytes`.
+    no warm cache on either side.  The from-scratch leg is the timed
+    :class:`~repro.runner.oracle.SerialReplay`, which then compares the
+    branched results cell by cell.
     """
     from repro.runner.branch import canonical_bytes, default_backend
+    from repro.runner.oracle import SerialReplay
 
     backend = backend or default_backend()
     jobs = checkpoint_matrix(cells)
 
-    start = time.perf_counter()
-    with SweepRunner(jobs=1, branch=False) as runner:
-        scratch = runner.run(jobs)
-    scratch_s = time.perf_counter() - start
+    replay = SerialReplay([(job, 1) for job in jobs])
 
     start = time.perf_counter()
     with SweepRunner(jobs=1, branch=True, branch_backend=backend) as runner:
@@ -204,20 +210,16 @@ def bench_checkpoint(cells: int = 120,
         stats = runner.stats
     branched_s = time.perf_counter() - start
 
-    identical = all(canonical_bytes(a) == canonical_bytes(b)
-                    for a, b in zip(scratch, branched))
+    mismatches = replay.compare(
+        zip(replay.fingerprints, map(canonical_bytes, branched)), "branched")
     return {
         "cells": len(jobs),
         "backend": backend,
-        "scratch_wall_s": scratch_s,
+        "scratch_wall_s": replay.wall_s,
         "branched_wall_s": branched_s,
-        "speedup": scratch_s / branched_s if branched_s else 0.0,
-        "outputs_identical": identical,
-        "runner": {
-            "branched": stats.branched,
-            "executed": stats.executed,
-            "prefix_boots": stats.prefix_boots,
-        },
+        "speedup": replay.wall_s / branched_s if branched_s else 0.0,
+        "outputs_identical": not mismatches,
+        "runner": _fields(stats, "branched", "executed", "prefix_boots"),
     }
 
 
@@ -238,14 +240,8 @@ def bench_design_space(smoke: bool = False) -> dict[str, Any]:
     from repro.experiments import design_space
 
     result = design_space.run(smoke=smoke, exhaustive=True)
-    return {
-        "cells": result.cells,
-        "des_boots": result.des_boots,
-        "prefilter_wall_s": result.prefilter_wall_s,
-        "exhaustive_wall_s": result.exhaustive_wall_s,
-        "speedup": result.speedup,
-        "frontier_identical": result.frontier_identical,
-    }
+    return _fields(result, "cells", "des_boots", "prefilter_wall_s",
+                   "exhaustive_wall_s", "speedup", "frontier_identical")
 
 
 # --------------------------------------------------------------------------
@@ -283,19 +279,10 @@ def bench_sweep(jobs: int, cache_dir: str | None = None) -> dict[str, Any]:
         "parallel_wall_s": parallel_s,
         "speedup": serial_s / parallel_s if parallel_s else 0.0,
         "outputs_identical": serial_rendered == parallel_rendered,
-        "runner": {
-            "submitted": stats.submitted,
-            "deduplicated": stats.deduplicated,
-            "cache_hits": stats.cache_hits,
-            "executed": stats.executed,
-            "savings_rate": stats.savings_rate,
-        },
-        "cache": {
-            "memory_hits": cache_stats.memory_hits,
-            "disk_hits": cache_stats.disk_hits,
-            "misses": cache_stats.misses,
-            "hit_rate": cache_stats.hit_rate,
-        },
+        "runner": _fields(stats, "submitted", "deduplicated", "cache_hits",
+                          "executed", "savings_rate"),
+        "cache": _fields(cache_stats, "memory_hits", "disk_hits", "misses",
+                         "hit_rate"),
     }
 
 
@@ -315,20 +302,11 @@ def bench_fleet(smoke: bool = False,
     from repro.fleet import campaign
 
     result = campaign.run(smoke=smoke, total_jobs=total_jobs)
-    return {
-        "total_jobs": result.total_jobs,
-        "unique_jobs": result.unique_jobs,
-        "executed": result.executed,
-        "cache_hits": result.cache_hits,
-        "coalesced": result.coalesced,
-        "wall_s": result.wall_s,
-        "jobs_per_min": result.jobs_per_min,
-        "serial_wall_s": result.serial_wall_s,
-        "peak_workers": result.peak_workers,
-        "scaled_up": result.scaled_up,
-        "scaled_down": result.scaled_down,
-        "outputs_identical": result.identical,
-    }
+    return {**_fields(result, "total_jobs", "unique_jobs", "executed",
+                      "cache_hits", "coalesced", "wall_s", "jobs_per_min",
+                      "serial_wall_s", "peak_workers", "scaled_up",
+                      "scaled_down"),
+            "outputs_identical": result.identical}
 
 
 def build_record(jobs: int, events: int = 200_000,

@@ -10,21 +10,20 @@ process runs.
 
 Both layers store the same canonical pickle bytes: a ``put`` pickles the
 value exactly once (the disk layer writes those bytes verbatim) and every
-``get`` unpickles a fresh object.  That keeps the mutation-safety of the
-old deepcopy-on-both-ends design — callers can never alias the cached
-master — while being markedly cheaper for large boot reports, and it
-makes memory hits byte-equivalent to disk hits by construction (the
-``repro bench`` ``cache`` section tracks the speedup).
+``get`` unpickles a fresh object, so callers can never alias the cached
+master and memory hits are byte-equivalent to disk hits by construction.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+from repro.atomic import atomic_write_bytes
 
 #: Exceptions that mean "this pickle is junk": a torn write, bit rot, or
 #: a pickle referencing a class that no longer exists.
@@ -104,6 +103,8 @@ class ResultCache:
         blob = self._memory.get(key)
         if blob is not None:
             self.stats.memory_hits += 1
+            if self.disk_dir is not None:
+                self._touch(key)
             return True, pickle.loads(blob)
         if self.disk_dir is not None:
             path = self._disk_path(key)
@@ -120,46 +121,41 @@ class ResultCache:
                     value = pickle.loads(blob)
                 except _LOAD_ERRORS:
                     self.stats.disk_errors += 1
-                    try:
+                    with contextlib.suppress(OSError):
                         os.unlink(path)
-                    except OSError:
-                        pass
                 else:
                     self._memory[key] = blob
                     self.stats.disk_hits += 1
-                    try:
-                        os.utime(path)  # refresh LRU recency
-                    except OSError:
-                        pass
+                    self._touch(key)
                     return True, value
         self.stats.misses += 1
         return False, None
+
+    def _touch(self, key: str) -> None:
+        """Count a hit, from memory or disk, as a use: refresh the LRU
+        recency (mtime), or a capped cache evicts what it serves most."""
+        try:  # a str path: a Path join costs as much as the syscall
+            os.utime(f"{self.disk_dir}/{key}.pkl")
+        except OSError:
+            pass  # already gone: nothing to refresh
 
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` in every enabled layer.
 
         The value is pickled once; the disk layer persists the identical
-        bytes (write-then-rename, so a crashed run never leaves a torn
-        pickle a later run would try to load).
+        bytes through :func:`~repro.atomic.atomic_write_bytes` without
+        fsync: a crashed run never leaves a torn pickle under the key,
+        and an entry lost to a power cut is only a later miss.
         """
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         self._memory[key] = blob
         self.stats.stores += 1
         if self.disk_dir is not None:
             self.disk_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp_name, self._disk_path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            path = self._disk_path(key)
+            atomic_write_bytes(path, blob, fsync=False)
             if self.max_bytes is not None:
-                self._evict(keep=self._disk_path(key))
+                self._evict(keep=path)
 
     def _evict(self, keep: Path) -> None:
         """Unlink least-recently-used entries until the store fits.

@@ -418,7 +418,3 @@ class JobScheduler:
     def idle(self) -> bool:
         """No work queued or executing (delivery buffers may be nonempty)."""
         return not self._queued and not self._inflight
-
-    def pending_tickets(self, client: str) -> int:
-        """Tickets the client has submitted but not yet drained."""
-        return len(self._delivery.get(client, ()))

@@ -7,7 +7,7 @@ byte-identical.  This module is the oracle for that promise: it builds a
 mixed matrix that exercises every branch path (the null cell, early and
 late divergence, no-divergence cells, degraded boots, non-branchable
 path faults) and compares every branched result against a from-scratch
-:func:`~repro.runner.jobs.execute_job` via
+serial replay (:class:`~repro.runner.oracle.SerialReplay`) via
 :func:`~repro.runner.branch.canonical_bytes` — the canonical encoding
 that makes equal values encode equally even after a fork-pipe or worker
 pool round-trip permutes a frozenset's pickle layout.
@@ -22,7 +22,8 @@ from repro.faults import (DeferredFault, FaultPlan, PathFault, ServiceFault,
                           SettleFault, StorageFault)
 from repro.runner.branch import (BACKEND_FORK, BACKEND_REPLAY,
                                  canonical_bytes, default_backend)
-from repro.runner.jobs import SimJob, execute_job
+from repro.runner.jobs import SimJob
+from repro.runner.oracle import SerialReplay
 from repro.runner.sweep import SweepRunner
 from repro.workloads import opensource_tv_workload
 
@@ -95,19 +96,20 @@ def check_branch_identity(
 ) -> tuple[list[str], int, int]:
     """Run the oracle; returns ``(violations, boots, checks)``.
 
-    From-scratch results are computed once; each (backend, jobs) combo
-    then runs the same matrix through a cold branching
-    :class:`~repro.runner.sweep.SweepRunner` and every cell is compared
-    by canonical bytes.
+    The matrix is replayed serially once; each (backend, jobs) combo then
+    runs it through a cold branching :class:`SweepRunner`, and the
+    replay compares every cell.
     """
     jobs = identity_matrix(smoke)
+    replay = SerialReplay([(job, 1) for job in jobs])
     violations: list[str] = []
-    boots = 0
+    boots = replay.unique_jobs
     checks = 0
 
-    scratch = [execute_job(job) for job in jobs]
-    boots += len(jobs)
-    expected = [canonical_bytes(result) for result in scratch]
+    def cell(index: int) -> str:
+        plan = jobs[index].fault_plan
+        return (f"cell {index} ({plan.label if plan else 'null'} "
+                f"seed={plan.seed if plan else '-'})")
 
     for backend, workers in backend_configs(smoke):
         label = f"{backend}/jobs={workers}"
@@ -119,13 +121,8 @@ def check_branch_identity(
         boots += runner.stats.executed + runner.stats.prefix_boots
         if not runner.stats.branched:
             violations.append(f"{label}: no cell was actually branched")
-        for index, (job, want, got) in enumerate(
-                zip(jobs, expected, branched)):
-            checks += 1
-            if canonical_bytes(got) != want:
-                violations.append(
-                    f"{label}: cell {index} "
-                    f"({job.fault_plan.label if job.fault_plan else 'null'}"
-                    f" seed={job.fault_plan.seed if job.fault_plan else '-'})"
-                    f" diverged from the from-scratch result")
+        checks += len(branched)
+        violations += replay.compare(
+            zip(replay.fingerprints, map(canonical_bytes, branched)),
+            "branched", where=lambda index: f"{label}: {cell(index)}")
     return violations, boots, checks

@@ -13,6 +13,7 @@ from repro.fleet.protocol import encode_frame, job_from_spec
 from repro.fleet.resources import ResourcePolicy
 from repro.runner import execute_job
 from repro.runner.branch import canonical_bytes
+from repro.runner.oracle import SerialReplay
 
 
 def _spec(seed=1, **extra):
@@ -112,6 +113,31 @@ class TestSubmitStream:
         one, two = asyncio.run(_with_service(scenario))
         assert one.ok and two.ok
         assert one.payloads == two.payloads
+
+
+class TestBranchedShards:
+    def test_branched_batch_matches_the_serial_replay(self, tmp_path):
+        # ``fleet serve --branch``: five what-if cells on one camera/full
+        # prefix land in one shard batch and run as forked suffixes.
+        specs = [{"kind": "boot", "workload": "camera", "bb": "full",
+                  "fault": {"preset": "flaky-services", "seed": seed}}
+                 for seed in range(1, 6)]
+        cache_dir = tmp_path / "cache"
+
+        async def scenario(service, host, port):
+            async with FleetClient(host, port) as client:
+                return await client.submit(specs)
+
+        outcome = asyncio.run(_with_service(
+            scenario, branch=True, batch_size=16, cache_dir=str(cache_dir),
+            policy=_policy(max_workers=1)))
+        assert outcome.ok and outcome.total == 5
+        replay = SerialReplay([job_from_spec(spec) for spec in specs])
+        assert replay.compare(zip(outcome.fingerprints, outcome.payloads),
+                              "fleet") == []
+        # The shard branched: its prefix probe reached the shared cache.
+        assert any(path.name.startswith("probe:")
+                   for path in cache_dir.iterdir())
 
 
 class TestProtocolErrors:

@@ -190,3 +190,70 @@ class TestCrashSafeRefs:
         leftovers = [p.name for p in store.root.iterdir()
                      if p.name.endswith(".tmp")]
         assert leftovers == []
+
+    def test_interrupted_refs_write_leaves_no_temp_file(self, store,
+                                                        monkeypatch):
+        first = store.commit(_gen("gen-1"))
+        before = store.refs_path.read_text(encoding="ascii")
+
+        import os as os_module
+
+        real_replace = os_module.replace
+
+        def refs_power_cut(src, dst):
+            if str(dst).endswith("refs.json"):
+                raise OSError("simulated power cut before rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os_module, "replace", refs_power_cut)
+        with pytest.raises(OSError, match="simulated power cut"):
+            store.commit(_gen("gen-2", parent=first))
+        monkeypatch.undo()
+
+        assert store.refs_path.read_text(encoding="ascii") == before
+        leftovers = [p.name for p in store.root.rglob("*")
+                     if p.name.endswith(".tmp")]
+        assert leftovers == []
+
+
+class TestCrashSafeObjects:
+    def test_interrupted_object_write_leaves_no_partial_object(
+            self, store, monkeypatch):
+        # A power cut halfway through writing the object: the commit
+        # fails, no torn object survives to be trusted by the retry, and
+        # the retried commit's head loads.
+        import io
+
+        real_open = io.open
+
+        class _TornWriter:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def write(self, data):
+                self._handle.write(data[:len(data) // 2])
+                self._handle.flush()
+                raise OSError("simulated power cut mid-write")
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+        def tearing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _TornWriter(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(io, "open", tearing_open)
+        with pytest.raises(OSError, match="mid-write"):
+            store.commit(_gen("gen-1"))
+        monkeypatch.undo()
+
+        assert list(store.objects_dir.iterdir()) == []
+        assert store.head() is None
+        head = store.commit(_gen("gen-1"))
+        assert store.get(head) == _gen("gen-1")

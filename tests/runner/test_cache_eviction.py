@@ -43,6 +43,22 @@ class TestEvictionOrder:
         assert "k0" in keys
         assert "k1" not in keys
 
+    def test_memory_hit_refreshes_recency(self, tmp_path):
+        # A capped cache must not evict the entries it serves most: a hit
+        # answered from memory is a use just like a disk hit.
+        blob = "x" * 100
+        cache = ResultCache(tmp_path, max_bytes=400)
+        for index in range(3):
+            cache.put(f"k{index}", blob)
+            _age(tmp_path, f"k{index}", seconds=100 - index)
+        hit, _ = cache.get("k0")
+        assert hit and cache.stats.memory_hits == 1
+        cache.put("k3", blob)
+        keys = _disk_keys(tmp_path)
+        assert "k0" in keys
+        assert "k1" not in keys
+        assert cache.get("k0")[0]
+
     def test_entry_just_written_is_never_evicted(self, tmp_path):
         cache = ResultCache(tmp_path, max_bytes=10)  # smaller than any entry
         cache.put("huge", "x" * 1000)

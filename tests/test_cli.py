@@ -140,6 +140,32 @@ def test_recover_json_is_valid_report(capsys):
     assert document["recovery"]["converged"] is True
 
 
+def test_wire_recover_job_runs_the_cli_recovery(capsys, monkeypatch):
+    # One recover spec, two front doors: the fleet wire's job and
+    # ``repro recover`` must run the same policy and so the same ladder.
+    from repro.fleet.protocol import job_from_spec
+    from repro.recovery import BootSupervisor
+    from repro.runner import execute_job
+
+    outcomes = []
+    real_run = BootSupervisor.run
+
+    def capture(self):
+        outcomes.append(real_run(self))
+        return outcomes[-1]
+
+    monkeypatch.setattr(BootSupervisor, "run", capture)
+    run_cli(capsys, "recover", "flaky-services", "--workload", "tv",
+            "--seed", "1")
+    job, _ = job_from_spec({"kind": "recover", "workload": "tv",
+                            "fault": {"preset": "flaky-services",
+                                      "seed": 1}})
+    execute_job(job)
+    cli_outcome, wire_outcome = outcomes
+    assert wire_outcome.to_dict() == cli_outcome.to_dict()
+    assert cli_outcome.to_dict()["policy"] == "flaky-services"
+
+
 def test_recover_smoke_matrix_converges(capsys):
     code, output = run_cli(capsys, "recover", "--smoke")
     assert code == 0
