@@ -1,6 +1,6 @@
 # Convenience targets for the BB reproduction.
 
-.PHONY: install test test-fast coverage verify recover predict bench bench-smoke perfbench-test fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
+.PHONY: install test test-fast coverage verify recover predict bench bench-smoke perfbench-test boot-reference fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
 
 PYTEST = PYTHONPATH=src python -m pytest
 
@@ -41,15 +41,16 @@ predict:
 bench:
 	$(PYTEST) benchmarks/ --benchmark-only -s
 
-# CI-scale perf gate: event-queue + cache microbenchmarks plus a 24-cell
-# checkpoint/fork matrix and the 640-cell analytically pre-filtered
-# design-space sweep.  Exits nonzero if branched outputs are not
-# byte-identical to from-scratch runs, the checkpoint speedup drops
-# below its committed floor (full 120-cell record measures >= 3x; the
-# smoke floor leaves headroom for noisy CI runners), the design-space
-# pre-filter lands below 5x over exhaustive DES, or the analytic
-# frontier is not identical to the exhaustive one (full record measures
-# >= 15x, so 5x leaves similar headroom).
+# CI-scale perf gate: event-queue + cache microbenchmarks, per-boot DES
+# and predictor times, plus a 24-cell checkpoint/fork matrix and the
+# 640-cell analytically pre-filtered design-space sweep.  Exits nonzero
+# if branched outputs are not byte-identical to from-scratch runs, the
+# checkpoint speedup drops below its committed floor (full 120-cell
+# record measures >= 3x; the smoke floor leaves headroom for noisy CI
+# runners), the design-space pre-filter lands below 5x over exhaustive
+# DES, or the analytic frontier is not identical to the exhaustive one
+# (full record measures ~12x against the cheaper DES scheduler, 16x
+# before it, so 5x leaves headroom).
 bench-smoke:
 	PYTHONPATH=src python -m repro bench --skip-sweep --events 50000 \
 		--checkpoint-cells 24 --branch-floor 1.8 --predict-floor 5 \
@@ -61,6 +62,14 @@ bench-smoke:
 # points.  Needs only the standard library and pytest.
 perfbench-test:
 	python3 -m pytest perfbench/tests -q
+
+# Whole-pool DES identity gate: boot all 220 cases of the boot-cold
+# reference pool (every boot any perfbench seed can draw, where the
+# benchmark itself checks one seed's 50) and compare each boot's simulated
+# statistics with perfbench/reference/boot-cold.json.  Nonzero exit names
+# the mismatching cases.  Reads perfbench/, writes nothing.
+boot-reference:
+	python3 scripts/check_boot_reference.py
 
 # CI-scale fleet campaign: 500 jobs through the async boot service
 # (TCP/JSON-lines, single-flight scheduler, auto-scaled worker shards),

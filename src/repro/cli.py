@@ -289,6 +289,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     write_record(record, args.out)
     print(f"event queue: {record['event_queue']['events_per_sec']:,.0f} "
           f"events/s")
+    for key, boot in record["boots"].items():
+        print(f"boot {key}: DES {boot['des_ms']:.0f} ms "
+              f"({boot['dispatches']:,} dispatches), predictor "
+              f"{boot['predict_ms']:.0f} ms, completes at "
+              f"{boot['complete_ms']:.1f} ms simulated")
     print(f"result cache: {record['cache']['roundtrips_per_sec']:,.0f} "
           f"roundtrips/s")
     gates = []

@@ -1,11 +1,16 @@
 """Performance benchmarks behind ``python -m repro bench``.
 
-Six measurements seed the repo's perf trajectory, recorded to
+Seven measurements seed the repo's perf trajectory, recorded to
 ``BENCH_runner.json``:
 
 * **Engine microbenchmark** — events/second through the
   :class:`~repro.sim.events.EventQueue` on a seeded deterministic
   push/pop workload.
+* **Per-boot benchmark** — host time of single cold boots of the stock
+  and the commercial TV, without and with BB on 4 cores, through the DES
+  and through the closed-form predictor
+  (:func:`~repro.analysis.predict.predict`), beside each boot's CPU
+  dispatches and simulated completion.
 * **Cache microbenchmark** — put+get round-trips/second of a real boot
   report through the in-memory :class:`~repro.runner.cache.ResultCache`.
 * **Checkpoint benchmark** — cold-cache wall time of a 100+-cell
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import json
 import time
+from functools import partial
 from typing import Any
 
 from repro.runner.cache import ResultCache
@@ -90,6 +96,73 @@ def bench_event_queue(events: int = 200_000, repeats: int = 3) -> dict[str, floa
         _drive_queue(queue, events)
         best = min(best, time.perf_counter() - start)
     return {"events": float(events), "events_per_sec": events / best}
+
+
+# --------------------------------------------------------------------------
+# Per-boot benchmark.
+
+#: (workload, BB) cases of the per-boot section, all on :data:`BOOT_CORES`
+#: cores.  The commercial TV without BB is the heaviest stock boot for the
+#: DES: its spinning RCU waiters make ~77k CPU dispatches.
+BOOT_CASES = (("tv", "none"), ("tv", "full"),
+              ("tv-commercial", "none"), ("tv-commercial", "full"))
+BOOT_CORES = 4
+#: Each per-boot host time is the best of this many runs.
+BOOT_REPEATS = 3
+
+
+def _best_ms(run: Any, factory: Any) -> tuple[float, Any]:
+    """Best-of-:data:`BOOT_REPEATS` host ms of ``run(factory())``, and its
+    result.
+
+    Each repeat builds a fresh workload outside the timed region.
+    """
+    best = float("inf")
+    result = None
+    for _ in range(BOOT_REPEATS):
+        workload = factory()
+        start = time.perf_counter()
+        result = run(workload)
+        best = min(best, (time.perf_counter() - start) * 1000.0)
+    return best, result
+
+
+def _des_boot(bb: Any, workload: Any) -> tuple[Any, Any]:
+    """One cold DES boot: its report and its CPU statistics."""
+    from repro.core import BootSimulation
+
+    simulation = BootSimulation(workload, bb, cores=BOOT_CORES)
+    report = simulation.run()
+    return report, simulation.sim.cpu.stats
+
+
+def bench_boots() -> dict[str, dict[str, float]]:
+    """Per-boot host ms of the DES and of the predictor, keyed
+    ``"<workload>/<bb>/c<cores>"``.
+
+    ``des_ms`` times ``BootSimulation(...).run()`` and ``predict_ms``
+    :func:`~repro.analysis.predict.predict`, each best of
+    :data:`BOOT_REPEATS`.  ``dispatches`` and ``complete_ms`` come from
+    the DES boot.
+    """
+    from repro.analysis.predict import predict
+    from repro.core import BBConfig
+    from repro.workloads import WORKLOAD_FACTORIES
+
+    section: dict[str, dict[str, float]] = {}
+    for name, bb_name in BOOT_CASES:
+        factory = WORKLOAD_FACTORIES[name]
+        bb = BBConfig.full() if bb_name == "full" else BBConfig.none()
+        des_ms, (report, stats) = _best_ms(partial(_des_boot, bb), factory)
+        predict_ms, _ = _best_ms(partial(predict, bb=bb, cores=BOOT_CORES),
+                                 factory)
+        section[f"{name}/{bb_name}/c{BOOT_CORES}"] = {
+            "des_ms": des_ms,
+            "predict_ms": predict_ms,
+            "dispatches": stats.dispatches,
+            "complete_ms": report.boot_complete_ns / 1e6,
+        }
+    return section
 
 
 # --------------------------------------------------------------------------
@@ -321,6 +394,7 @@ def build_record(jobs: int, events: int = 200_000,
     record: dict[str, Any] = {
         "code_version": code_version(),
         "event_queue": bench_event_queue(events=events),
+        "boots": bench_boots(),
         "cache": bench_cache(),
     }
     if not skip_checkpoint:

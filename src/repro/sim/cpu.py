@@ -8,16 +8,22 @@ asserted.
 
 Scheduling is priority-based (lower number first, FIFO within a priority)
 and time-sliced: a long computation is split into ``quantum_ns`` slices, and
-between slices the process goes back through the run queue.  A priority
-change therefore takes effect within one quantum — this is the hook the
-Booting Booster Manager uses to push BB-Group services ahead of everything
-else.
+between slices the process goes back through the run queue at its current
+priority.  A priority change therefore takes effect within one quantum —
+this is the hook the Booting Booster Manager uses to push BB-Group services
+ahead of everything else.
+
+The run queue is a heap of plain ``(priority, seq, process, remaining_ns)``
+tuples.  ``seq`` is unique, so every heap comparison is a C-level
+``(int, int)`` compare that never reaches the process.  A process the heap
+would hand an idle core straight back skips the heap (see
+:meth:`CPU._enqueue`).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -31,14 +37,6 @@ DEFAULT_QUANTUM_NS = 1_000_000
 
 #: Default dispatch (context-switch) cost charged per scheduling decision.
 DEFAULT_SWITCH_COST_NS = 2_000
-
-
-@dataclass(order=True, slots=True)
-class _RunQueueEntry:
-    priority: int
-    seq: int
-    process: "Process" = field(compare=False)
-    remaining_ns: int = field(compare=False)
 
 
 @dataclass(slots=True)
@@ -90,7 +88,7 @@ class CPU:
         self.switch_cost_ns = switch_cost_ns
         self.stats = CpuStats()
         self._idle_cores = cores
-        self._run_queue: list[_RunQueueEntry] = []
+        self._run_queue: list[tuple[int, int, "Process", int]] = []
         self._seq = 0
 
     @property
@@ -104,57 +102,82 @@ class CPU:
         return len(self._run_queue)
 
     def submit(self, process: "Process", ns: int) -> None:
-        """Enqueue ``ns`` nanoseconds of work for ``process`` (engine internal).
+        """Enqueue ``ns`` (> 0) nanoseconds of work for ``process`` (engine
+        internal).
 
         The process is resumed via the engine once the full amount has been
-        executed.  Zero-length computations resume immediately without a
-        scheduling round-trip.
+        executed.  Zero-length computations never get here: the process
+        resumes them itself without a scheduling round-trip (see
+        :meth:`~repro.sim.process.Process._step`).
         """
-        if ns == 0:
-            self._engine._resume(process, None)
-            return
         self._enqueue(process, ns)
         self._dispatch()
 
     def _enqueue(self, process: "Process", remaining_ns: int) -> None:
-        entry = _RunQueueEntry(priority=process.priority, seq=self._seq,
-                               process=process, remaining_ns=remaining_ns)
-        self._seq += 1
-        heapq.heappush(self._run_queue, entry)
-        if len(self._run_queue) > self.stats.peak_runnable:
-            self.stats.peak_runnable = len(self._run_queue)
+        """Queue ``remaining_ns`` of work for ``process`` at its current
+        priority; the caller then runs :meth:`_dispatch`.
+
+        When a core is idle, no interrupt is pending and nothing queued has
+        a priority as good as the process's, that dispatch would pop this
+        entry first, so the process starts its slice at once instead and
+        the heap push and pop are skipped.  Its ``seq`` and the queue depth
+        it would have reached are counted either way, so every counter and
+        every later tie-break is unchanged.
+        """
+        queue = self._run_queue
+        seq = self._seq
+        self._seq = seq + 1
+        if len(queue) >= self.stats.peak_runnable:
+            self.stats.peak_runnable = len(queue) + 1
+        priority = process.priority
+        if (self._idle_cores > 0 and process._pending_interrupt is None
+                and (not queue or queue[0][0] > priority)):
+            self._idle_cores -= 1
+            self._start_slice(process, remaining_ns)
+        else:
+            heapq.heappush(queue, (priority, seq, process, remaining_ns))
 
     def _dispatch(self) -> None:
         """Hand idle cores to the highest-priority queued work."""
-        while self._idle_cores > 0 and self._run_queue:
-            entry = heapq.heappop(self._run_queue)
-            if entry.process._pending_interrupt is not None:
+        queue = self._run_queue
+        while self._idle_cores > 0 and queue:
+            _, _, process, remaining_ns = heapq.heappop(queue)
+            if process._pending_interrupt is not None:
                 # Interrupted while queued: deliver instead of running.
-                self._engine._resume(entry.process, None)
+                self._engine._resume(process, None)
                 continue
             self._idle_cores -= 1
-            slice_ns = min(self.quantum_ns, entry.remaining_ns)
-            self.stats.dispatches += 1
-            self.stats.switch_ns += self.switch_cost_ns
-            done_at = self._engine.now + self.switch_cost_ns + slice_ns
-            self._engine._schedule_at(done_at, self._slice_done, entry, slice_ns)
+            self._start_slice(process, remaining_ns)
         monitor = self._engine.monitor
         if monitor is not None:
             monitor.on_cpu(self)
 
-    def _slice_done(self, entry: _RunQueueEntry, slice_ns: int) -> None:
+    def _start_slice(self, process: "Process", remaining_ns: int) -> None:
+        """Run the next slice of ``remaining_ns`` on an already-claimed core."""
+        quantum_ns = self.quantum_ns
+        slice_ns = quantum_ns if remaining_ns > quantum_ns else remaining_ns
+        switch_cost_ns = self.switch_cost_ns
+        stats = self.stats
+        stats.dispatches += 1
+        stats.switch_ns += switch_cost_ns
+        engine = self._engine
+        engine.events.push(engine.clock.now + switch_cost_ns + slice_ns,
+                           self._slice_done, process, remaining_ns, slice_ns)
+
+    def _slice_done(self, process: "Process", remaining_ns: int,
+                    slice_ns: int) -> None:
         self._idle_cores += 1
         self.stats.busy_ns += slice_ns
-        entry.process.cpu_time_ns += slice_ns
-        entry.remaining_ns -= slice_ns
-        if entry.remaining_ns > 0 and entry.process._pending_interrupt is None:
-            # Re-read the priority: BB Manager may have boosted the process
-            # while it was running, and it must take effect promptly.
-            self._enqueue(entry.process, entry.remaining_ns)
-        else:
+        process.cpu_time_ns += slice_ns
+        remaining_ns -= slice_ns
+        if remaining_ns <= 0 or process._pending_interrupt is not None:
             # Finished — or interrupted, in which case the remaining work
             # is abandoned and the interrupt is delivered by the resume.
-            self._engine._resume(entry.process, None)
+            self._engine._resume(process, None)
+        else:
+            # Re-read the priority: BB Manager may have boosted the process
+            # while it was running, and it must take effect promptly.
+            self._enqueue(process, remaining_ns)
         self._dispatch()
 
     def __repr__(self) -> str:

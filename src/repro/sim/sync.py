@@ -273,24 +273,28 @@ class SpinLock:
             yield Compute(self.acquire_cost_ns)
         ticket = self._next_ticket
         self._next_ticket += 1
-        self._tickets[ticket] = process
-        if min(self._tickets) != ticket or self._held:
+        tickets = self._tickets
+        tickets[ticket] = process
+        # FIFO by lowest *outstanding* ticket, which is the dict's first key:
+        # tickets are inserted in increasing order and deletions keep the
+        # order.  An abandoned (interrupted) ticket disappears from the
+        # dict, so it never wedges the queue.
+        if next(iter(tickets)) != ticket or self._held:
             self.contended_acquires += 1
         claimed = False
         try:
-            # FIFO by lowest *outstanding* ticket: an abandoned (interrupted)
-            # ticket disappears from the dict, so it never wedges the queue.
-            while min(self._tickets) != ticket or self._held:
+            spin = Compute(self.spin_slice_ns)
+            while next(iter(tickets)) != ticket or self._held:
                 # Busy-wait: each slice is real CPU consumption on a core.
-                yield Compute(self.spin_slice_ns)
-                self.spin_time_ns += self.spin_slice_ns
-            del self._tickets[ticket]
+                yield spin
+                self.spin_time_ns += spin.ns
+            del tickets[ticket]
             self._held = True
             self.owner = process
             claimed = True
         finally:
             if not claimed:
-                self._tickets.pop(ticket, None)
+                tickets.pop(ticket, None)
         return None
 
     def release(self) -> None:

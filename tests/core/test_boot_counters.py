@@ -1,0 +1,67 @@
+"""Pinned scheduler counters of real boots.
+
+The simulated results of a boot are pinned elsewhere (report bytes, the
+paper's numbers); these pin what the CPU model did to get there: busy and
+dispatch time, the number of scheduling decisions, the deepest run queue,
+how many events the loop popped and the final clock.  A scheduler change
+that keeps every result but takes a different path (an extra dispatch, a
+skipped event) fails here.
+"""
+
+import pytest
+
+from repro.core import BBConfig, BootSimulation
+from repro.faults import build_preset
+from repro.sim import CpuStats
+from repro.sim.events import EventQueue
+from repro.workloads import WORKLOAD_FACTORIES
+
+
+class CountingQueue(EventQueue):
+    """An event queue that counts the events the run loop pops."""
+
+    def __init__(self):
+        super().__init__()
+        self.popped = 0
+
+    def pop(self):
+        event = super().pop()
+        self.popped += 1
+        return event
+
+
+# (workload, BB, cores, fault preset) ->
+# (busy_ns, switch_ns, dispatches, peak_runnable, events, now)
+CASES = {
+    ("tv-commercial", "none", 2, None):
+        (30050946151, 83660000, 41830, 91, 43184, 17616645767),
+    ("phone", "full", 2, None):
+        (6918778200, 14302000, 7151, 58, 7359, 4216942691),
+    ("tv", "full", None, "flaky-services"):
+        (10943185390, 23270000, 11635, 35, 12141, 3952985008),
+}
+
+
+def _case_id(case):
+    workload, bb, cores, preset = case
+    name = f"{workload}/{bb}/c{cores or 'default'}"
+    return f"{name}+{preset}" if preset else name
+
+
+@pytest.mark.parametrize("case", list(CASES), ids=_case_id)
+def test_boot_scheduler_counters_are_pinned(case):
+    workload, bb, cores, preset = case
+    busy, switch, dispatches, peak, events, now = CASES[case]
+    queue = CountingQueue()
+    simulation = BootSimulation(
+        WORKLOAD_FACTORIES[workload](),
+        BBConfig.full() if bb == "full" else BBConfig.none(),
+        cores=cores,
+        fault_plan=build_preset(preset, 1) if preset else None,
+        event_queue=queue)
+    simulation.run()
+    assert simulation.sim.cpu.stats == CpuStats(
+        busy_ns=busy, switch_ns=switch, dispatches=dispatches,
+        peak_runnable=peak)
+    assert queue.popped == events
+    assert simulation.sim.now == now

@@ -2,9 +2,9 @@
 
 import json
 
-from repro.runner.bench import (_drive_queue, bench_cache, bench_checkpoint,
-                                bench_event_queue, build_record,
-                                checkpoint_matrix, write_record)
+from repro.runner.bench import (BOOT_CASES, _drive_queue, bench_cache,
+                                bench_checkpoint, bench_event_queue,
+                                build_record, checkpoint_matrix, write_record)
 from repro.runner.branch import BACKEND_REPLAY
 from repro.sim.events import EventQueue
 
@@ -49,3 +49,11 @@ def test_record_roundtrips_as_json(tmp_path):
     loaded = json.loads(path.read_text())
     assert "event_queue" in loaded and "code_version" in loaded
     assert "cache" in loaded and "checkpoint" not in loaded
+    boots = loaded["boots"]
+    assert len(boots) == len(BOOT_CASES)
+    # The commercial TV's spinning RCU waiters make no-BB the heavy boot.
+    heavy, light = boots["tv-commercial/none/c4"], boots["tv-commercial/full/c4"]
+    assert heavy["dispatches"] > light["dispatches"] > 0
+    assert heavy["complete_ms"] > light["complete_ms"] > 0
+    assert all(boot["des_ms"] > 0 and boot["predict_ms"] > 0
+               for boot in boots.values())

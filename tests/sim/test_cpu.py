@@ -135,3 +135,30 @@ def test_fifo_within_same_priority():
         sim.spawn(tracked(name), name=name)
     sim.run()
     assert finish_order == ["first", "second", "third"]
+
+
+def test_equal_priorities_rotate_at_every_quantum():
+    sim = make_sim(cores=1, quantum_ns=msec(1))
+    first = sim.spawn(compute_worker(msec(3)), name="first")
+    second = sim.spawn(compute_worker(msec(3)), name="second")
+    sim.run()
+    # The queued process takes the core at every boundary: A B A B A B.
+    assert first.finished_at_ns == msec(5)
+    assert second.finished_at_ns == msec(6)
+    assert sim.cpu.stats.dispatches == 6
+    assert sim.cpu.stats.peak_runnable == 2
+
+
+def test_boosted_process_keeps_its_core_at_each_quantum():
+    sim = make_sim(cores=1, quantum_ns=msec(1))
+    background = sim.spawn(compute_worker(msec(3)), name="bg", priority=100)
+    foreground = sim.spawn(compute_worker(msec(3)), name="fg", priority=100)
+    # Boosted mid-slice while fg is queued: from the first boundary on,
+    # nothing queued beats bg, so it runs to completion before fg starts.
+    sim.call_after(msec(0.5), lambda: setattr(background, "priority", 10))
+    sim.run()
+    assert background.finished_at_ns == msec(3)
+    assert foreground.finished_at_ns == msec(6)
+    assert sim.cpu.stats.dispatches == 6
+    # bg's rotations count the queue depth a push would reach (fg + bg).
+    assert sim.cpu.stats.peak_runnable == 2

@@ -57,6 +57,24 @@ def test_zero_compute_resumes_immediately():
     assert process.result == "done"
 
 
+def test_long_chain_of_zero_computes_keeps_the_stack_flat():
+    # A zero-length compute resumes the process in place, so a chain of
+    # them must not nest one set of stack frames per link.
+    sim = Simulator(cores=1, switch_cost_ns=0)
+
+    def worker():
+        for _ in range(10_000):
+            yield Compute(0)
+        yield Compute(1)
+        return "done"
+
+    process = sim.spawn(worker(), name="worker")
+    sim.run()
+    assert process.result == "done"
+    assert sim.now == 1
+    assert sim.cpu.stats.dispatches == 1
+
+
 def test_wait_on_done_joins_processes():
     sim = Simulator()
     order = []

@@ -62,6 +62,26 @@ def test_interrupt_during_compute_lands_at_slice_boundary():
     assert sim.now < msec(15)
 
 
+def test_interrupt_during_compute_is_delivered_at_the_next_boundary():
+    sim = Simulator(cores=1, quantum_ns=msec(1), switch_cost_ns=0)
+    caught_at = []
+
+    def cruncher():
+        try:
+            yield Compute(msec(100))
+        except Interrupted:
+            caught_at.append(sim.now)
+
+    process = sim.spawn(cruncher(), name="cruncher")
+    sim.call_after(msec(10.5), lambda: sim.interrupt(process))
+    sim.run()
+    # Alone on the core, the process still stops at the first boundary
+    # after the interrupt: the slice running at 10.5 ms ends at 11 ms.
+    assert caught_at == [msec(11)]
+    assert sim.cpu.stats.dispatches == 11
+    assert process.cpu_time_ns == msec(11)
+
+
 def test_uncaught_interrupt_ends_process_quietly():
     sim = Simulator()
 
@@ -172,6 +192,28 @@ def test_interrupted_spinlock_waiter_does_not_wedge_tickets():
     sim.call_after(msec(5), lambda: sim.interrupt(victim))
     sim.run()
     assert order == ["first", "third"]
+
+
+def test_interrupted_spinlock_waiter_behind_the_head_keeps_ticket_order():
+    sim = Simulator(cores=4, switch_cost_ns=0)
+    lock = SpinLock(sim, acquire_cost_ns=0, spin_slice_ns=msec(1))
+    order = []
+
+    def worker(name, delay):
+        yield Timeout(delay)
+        yield from lock.acquire()
+        order.append(name)
+        yield Timeout(msec(10))
+        lock.release()
+
+    sim.spawn(worker("holder", 0), name="holder")
+    spinners = [sim.spawn(worker(f"spinner{n}", msec(n)), name=f"spinner{n}")
+                for n in range(1, 5)]
+    # spinner3 holds the third outstanding ticket: two ahead, one behind.
+    sim.call_after(msec(5), lambda: sim.interrupt(spinners[2]))
+    sim.run()
+    assert order == ["holder", "spinner1", "spinner2", "spinner4"]
+    assert lock._tickets == {}
 
 
 def test_interrupted_semaphore_waiter_does_not_lose_permit():
