@@ -291,7 +291,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
           f"events/s")
     for key, boot in record["boots"].items():
         print(f"boot {key}: DES {boot['des_ms']:.0f} ms "
-              f"({boot['dispatches']:,} dispatches), predictor "
+              f"({boot['des_complete_ms']:.0f} ms to completion, "
+              f"{boot['dispatches']:,} dispatches), predictor "
               f"{boot['predict_ms']:.0f} ms, completes at "
               f"{boot['complete_ms']:.1f} ms simulated")
     print(f"result cache: {record['cache']['roundtrips_per_sec']:,.0f} "

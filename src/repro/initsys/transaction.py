@@ -102,6 +102,7 @@ class Transaction:
         self.jobs: dict[str, Job] = {}
         self.edges: list[OrderingEdge] = []
         self.dropped_jobs: list[str] = []
+        self._incoming: dict[str, list[OrderingEdge]] = {}
         self._build()
 
     # ------------------------------------------------------------- building
@@ -111,6 +112,10 @@ class Transaction:
         self._derive_edges()
         self._check_conflicts()
         self._break_cycles()
+        # Edges are final from here on: jobs added later (``OnFailure=``
+        # handlers) come without edges.
+        for edge in self.edges:
+            self._incoming.setdefault(edge.successor, []).append(edge)
 
     def _pull_closure(self) -> None:
         """Closure over Requires (strong pull) and Wants (weak pull)."""
@@ -223,8 +228,9 @@ class Transaction:
     # -------------------------------------------------------------- queries
 
     def predecessors(self, name: str) -> list[OrderingEdge]:
-        """Ordering edges pointing into ``name``."""
-        return [e for e in self.edges if e.successor == name]
+        """Ordering edges pointing into ``name``, in edge order (a fresh
+        list, served from the index built at the end of construction)."""
+        return list(self._incoming.get(name, ()))
 
     def job(self, name: str) -> Job:
         """The job for ``name``.

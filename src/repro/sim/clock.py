@@ -15,7 +15,9 @@ from repro.quantities import format_ns
 class SimClock:
     """Monotonic integer-nanosecond simulation clock.
 
-    The engine is the only writer; models read :attr:`now` freely.
+    The engine is the only writer: its run loop sets ``_now`` inline after
+    the same backwards check :meth:`advance_to` makes.  Models read
+    :attr:`now` freely.
     """
 
     __slots__ = ("_now",)

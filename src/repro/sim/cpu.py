@@ -15,15 +15,23 @@ ahead of everything else.
 
 The run queue is a heap of plain ``(priority, seq, process, remaining_ns)``
 tuples.  ``seq`` is unique, so every heap comparison is a C-level
-``(int, int)`` compare that never reaches the process.  A process the heap
-would hand an idle core straight back skips the heap (see
-:meth:`CPU._enqueue`).
+``(int, int)`` compare that never reaches the process.
+
+Quantum boundaries are nearly every event of a boot, so
+:meth:`CPU._slice_done` handles one in a single frame: one ``heappushpop``
+of the preempted process against the run-queue head picks who gets the
+freed core (the process itself, with the heap untouched, when nothing
+queued is as urgent), and one ``events.push`` schedules that slice's end.
+:meth:`CPU.submit` places new work the same way.  Either is exactly a
+heap push followed by a dispatch loop, which :meth:`CPU._dispatch` still
+runs whenever a core stays idle with work queued (an interrupted process
+popped from the queue is resumed instead of run).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush, heappushpop
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -102,55 +110,59 @@ class CPU:
         return len(self._run_queue)
 
     def submit(self, process: "Process", ns: int) -> None:
-        """Enqueue ``ns`` (> 0) nanoseconds of work for ``process`` (engine
-        internal).
+        """Enqueue ``ns`` (> 0) nanoseconds of work for ``process`` at its
+        current priority (engine internal).
 
         The process is resumed via the engine once the full amount has been
-        executed.  Zero-length computations never get here: the process
+        executed.  Zero-length computations never get here: the engine
         resumes them itself without a scheduling round-trip (see
-        :meth:`~repro.sim.process.Process._step`).
-        """
-        self._enqueue(process, ns)
-        self._dispatch()
+        :meth:`~repro.sim.engine.Simulator._resume`).
 
-    def _enqueue(self, process: "Process", remaining_ns: int) -> None:
-        """Queue ``remaining_ns`` of work for ``process`` at its current
-        priority; the caller then runs :meth:`_dispatch`.
-
-        When a core is idle, no interrupt is pending and nothing queued has
-        a priority as good as the process's, that dispatch would pop this
-        entry first, so the process starts its slice at once instead and
-        the heap push and pop are skipped.  Its ``seq`` and the queue depth
-        it would have reached are counted either way, so every counter and
-        every later tie-break is unchanged.
+        With a core idle and no interrupt pending, the push and the
+        dispatch's first pop are one ``heappushpop``: it returns the
+        process itself, without touching the heap, when nothing queued has
+        a priority as good as its own.  Its ``seq`` and the queue depth it
+        reached are counted either way, so every counter and every later
+        tie-break is that of a push followed by :meth:`_dispatch`.
         """
         queue = self._run_queue
         seq = self._seq
         self._seq = seq + 1
-        if len(queue) >= self.stats.peak_runnable:
-            self.stats.peak_runnable = len(queue) + 1
-        priority = process.priority
-        if (self._idle_cores > 0 and process._pending_interrupt is None
-                and (not queue or queue[0][0] > priority)):
-            self._idle_cores -= 1
-            self._start_slice(process, remaining_ns)
+        stats = self.stats
+        if len(queue) >= stats.peak_runnable:
+            stats.peak_runnable = len(queue) + 1
+        if self._idle_cores > 0 and process._pending_interrupt is None:
+            _, _, process, ns = heappushpop(
+                queue, (process.priority, seq, process, ns))
+            if process._pending_interrupt is None:
+                self._idle_cores -= 1
+                self._start_slice(process, ns)
+            else:
+                # Interrupted while queued: deliver instead of running.
+                self._engine._resume(process, None)
         else:
-            heapq.heappush(queue, (priority, seq, process, remaining_ns))
+            heappush(queue, (process.priority, seq, process, ns))
+        if self._idle_cores > 0 and queue:
+            self._dispatch()
+        monitor = self._engine.monitor
+        if monitor is not None:
+            monitor.on_cpu(self)
 
     def _dispatch(self) -> None:
-        """Hand idle cores to the highest-priority queued work."""
+        """Hand idle cores to the highest-priority queued work.
+
+        Callers run it only when a core is idle and work is queued, and
+        report to the monitor themselves once their scheduling round ends.
+        """
         queue = self._run_queue
         while self._idle_cores > 0 and queue:
-            _, _, process, remaining_ns = heapq.heappop(queue)
+            _, _, process, remaining_ns = heappop(queue)
             if process._pending_interrupt is not None:
                 # Interrupted while queued: deliver instead of running.
                 self._engine._resume(process, None)
                 continue
             self._idle_cores -= 1
             self._start_slice(process, remaining_ns)
-        monitor = self._engine.monitor
-        if monitor is not None:
-            monitor.on_cpu(self)
 
     def _start_slice(self, process: "Process", remaining_ns: int) -> None:
         """Run the next slice of ``remaining_ns`` on an already-claimed core."""
@@ -161,24 +173,62 @@ class CPU:
         stats.dispatches += 1
         stats.switch_ns += switch_cost_ns
         engine = self._engine
-        engine.events.push(engine.clock.now + switch_cost_ns + slice_ns,
+        engine.events.push(engine.clock._now + switch_cost_ns + slice_ns,
                            self._slice_done, process, remaining_ns, slice_ns)
 
     def _slice_done(self, process: "Process", remaining_ns: int,
                     slice_ns: int) -> None:
-        self._idle_cores += 1
-        self.stats.busy_ns += slice_ns
+        """End a slice: resume a finished (or interrupted) process, or
+        requeue a preempted one and give the freed core to the best queued
+        entry.
+
+        The core just freed is the only idle one, or nothing is queued, so
+        a requeue dispatches exactly one entry: the run-queue head after
+        pushing the process, which ``heappushpop`` returns without touching
+        the heap when the process itself is that head.  ``seq``, the peak
+        queue depth and the dispatch counters move as :meth:`submit` and
+        :meth:`_dispatch` would move them.
+        """
+        stats = self.stats
+        stats.busy_ns += slice_ns
         process.cpu_time_ns += slice_ns
         remaining_ns -= slice_ns
-        if remaining_ns <= 0 or process._pending_interrupt is not None:
+        engine = self._engine
+        queue = self._run_queue
+        if remaining_ns > 0 and process._pending_interrupt is None:
+            # Quantum boundary.  Re-read the priority: BB Manager may have
+            # boosted the process while it was running, and it must take
+            # effect promptly.
+            seq = self._seq
+            self._seq = seq + 1
+            if len(queue) >= stats.peak_runnable:
+                stats.peak_runnable = len(queue) + 1
+            _, _, process, remaining_ns = heappushpop(
+                queue, (process.priority, seq, process, remaining_ns))
+            if process._pending_interrupt is None:
+                quantum_ns = self.quantum_ns
+                slice_ns = quantum_ns if remaining_ns > quantum_ns else remaining_ns
+                switch_cost_ns = self.switch_cost_ns
+                stats.dispatches += 1
+                stats.switch_ns += switch_cost_ns
+                engine.events.push(engine.clock._now + switch_cost_ns + slice_ns,
+                                   self._slice_done, process, remaining_ns,
+                                   slice_ns)
+            else:
+                # The head was interrupted while queued: deliver instead of
+                # running it, and let the dispatch loop fill the core.
+                self._idle_cores += 1
+                engine._resume(process, None)
+        else:
             # Finished — or interrupted, in which case the remaining work
             # is abandoned and the interrupt is delivered by the resume.
-            self._engine._resume(process, None)
-        else:
-            # Re-read the priority: BB Manager may have boosted the process
-            # while it was running, and it must take effect promptly.
-            self._enqueue(process, remaining_ns)
-        self._dispatch()
+            self._idle_cores += 1
+            engine._resume(process, None)
+        if self._idle_cores > 0 and queue:
+            self._dispatch()
+        monitor = engine.monitor
+        if monitor is not None:
+            monitor.on_cpu(self)
 
     def __repr__(self) -> str:
         return (f"CPU(cores={self.cores}, idle={self._idle_cores}, "

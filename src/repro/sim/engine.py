@@ -16,6 +16,13 @@ tracer, and is the only object user code needs to create::
 Processes advance synchronously inside event callbacks; all same-time
 activity is ordered by scheduling sequence, so a run is a pure function of
 its inputs.
+
+The run loop makes one call into the queue per event (``events.pop()``)
+and advances the clock inline.  A process is stepped by one frame,
+:meth:`Simulator._resume`: it sends into the generator, loops over
+zero-length computations, and routes the yielded request by its exact type
+(``Compute`` to :meth:`~repro.sim.cpu.CPU.submit`, ``Timeout`` and
+``Wait`` to the event queue or the completion's waiters).
 """
 
 from __future__ import annotations
@@ -26,10 +33,15 @@ from repro.errors import DeadlockError, SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.cpu import CPU, DEFAULT_QUANTUM_NS, DEFAULT_SWITCH_COST_NS
 from repro.sim.events import EventQueue, ScheduledEvent
-from repro.sim.process import (DEFAULT_PRIORITY, Compute, Process,
+from repro.sim.process import (DEFAULT_PRIORITY, Compute, Interrupted, Process,
                                ProcessGenerator, ProcessState, Timeout, Wait)
 from repro.sim.sync import Completion
 from repro.sim.tracing import Tracer
+
+_RUNNABLE = ProcessState.RUNNABLE
+_WAITING = ProcessState.WAITING
+_FINISHED = ProcessState.FINISHED
+_FAILED = ProcessState.FAILED
 
 
 class Simulator:
@@ -58,7 +70,9 @@ class Simulator:
                        switch_cost_ns=switch_cost_ns)
         self.tracer = Tracer(self.clock)
         self.processes: list[Process] = []
-        self._current_stack: list[Process] = []
+        #: The process being stepped right now, if any.  A step that resumes
+        #: another process (a completion firing) saves and restores it.
+        self.current_process: Process | None = None
         self._pending_failure: tuple[Process, BaseException] | None = None
 
     # ------------------------------------------------------------------ API
@@ -67,11 +81,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulation time in nanoseconds."""
         return self.clock.now
-
-    @property
-    def current_process(self) -> Process | None:
-        """The process being stepped right now, if any."""
-        return self._current_stack[-1] if self._current_stack else None
 
     def spawn(self, gen: ProcessGenerator, name: str,
               priority: int = DEFAULT_PRIORITY, daemon: bool = False) -> Process:
@@ -91,7 +100,7 @@ class Simulator:
         process = Process(self, gen, name=name, priority=priority)
         process.daemon = daemon
         self.processes.append(process)
-        self._schedule_at(self.now, self._first_step, process)
+        self.events.push(self.clock._now, self._first_step, process)
         return process
 
     def completion(self, name: str = "completion") -> Completion:
@@ -127,20 +136,24 @@ class Simulator:
                 re-raised here, at the simulated moment it occurred.
         """
         events = self.events
-        advance_to = self.clock.advance_to
+        pop = events.pop
+        peek_time = events.peek_time if until_ns is not None else None
+        clock = self.clock
         monitor = self.monitor
-        while len(events) > 0:
-            next_time = events.peek_time()
-            assert next_time is not None
-            if until_ns is not None and next_time > until_ns:
-                advance_to(until_ns)
-                return self.now
-            event = events.pop()
+        while events._live:
+            if peek_time is not None and peek_time() > until_ns:
+                clock.advance_to(until_ns)
+                return clock._now
+            event = pop()
             if monitor is not None:
-                # Before advance_to: a time-disordered pop must be reported
-                # as the scheduling bug it is, not as a clock error.
+                # Before the clock moves: a time-disordered pop must be
+                # reported as the scheduling bug it is, not as a clock error.
                 monitor.on_event(self, event)
-            advance_to(event.time_ns)
+            time_ns = event.time_ns
+            if time_ns < clock._now:
+                raise SimulationError(f"attempt to move clock backwards: "
+                                      f"{time_ns} < {clock._now}")
+            clock._now = time_ns
             event.callback(*event.args)
             if self._pending_failure is not None:
                 _failed, exc = self._pending_failure
@@ -151,45 +164,16 @@ class Simulator:
                        if p.alive and not getattr(p, "daemon", False)]
             if blocked:
                 raise DeadlockError(blocked)
-        if until_ns is not None and until_ns > self.now:
-            self.clock.advance_to(until_ns)
-        return self.now
+        if until_ns is not None and until_ns > clock._now:
+            clock.advance_to(until_ns)
+        return clock._now
 
     # ------------------------------------------------- engine internals
 
-    def _schedule_at(self, time_ns: int, callback, *args) -> ScheduledEvent:
-        return self.events.push(time_ns, callback, *args)
-
-    def _dispatch(self, process: Process, request: Any) -> None:
-        """Route a process's yielded request to the right subsystem."""
-        if isinstance(request, Compute):
-            process.state = ProcessState.RUNNABLE
-            self.cpu.submit(process, request.ns)
-        elif isinstance(request, Timeout):
-            process.state = ProcessState.WAITING
-            process._timeout_event = self._schedule_at(
-                self.now + request.ns, self._resume, process, None)
-        elif isinstance(request, Wait):
-            completion = request.completion
-            if completion._add_waiter(process):
-                process.state = ProcessState.WAITING
-                process._waiting_on = completion
-            else:
-                # Already fired: resume on a fresh event to keep FIFO order.
-                self._schedule_at(self.now,
-                                  self._resume, process, completion.value)
-        else:
-            raise SimulationError(
-                f"process {process.name!r} yielded unknown request {request!r}")
-
     def _first_step(self, process: Process) -> None:
         """Run the first step of a freshly spawned process."""
-        process.started_at_ns = self.now
-        self._current_stack.append(process)
-        try:
-            process._step(None)
-        finally:
-            self._current_stack.pop()
+        process.started_at_ns = self.clock._now
+        self._resume(process, None)
 
     def interrupt(self, process: Process, exc: BaseException | None = None) -> None:
         """Deliver an :class:`~repro.sim.process.Interrupted` to a process.
@@ -201,40 +185,90 @@ class Simulator:
         across a ``yield`` are released.  Interrupting a finished process
         is a no-op.
         """
-        from repro.sim.process import Interrupted
-
         if not process.alive:
             return
         process._pending_interrupt = exc if exc is not None else Interrupted()
         if process._timeout_event is not None:
             self.events.cancel(process._timeout_event)
             process._timeout_event = None
-            self._schedule_at(self.now, self._resume, process, None)
+            self.events.push(self.clock._now, self._resume, process, None)
         elif process._waiting_on is not None:
             completion = process._waiting_on
             if process in completion._waiters:
                 completion._waiters.remove(process)
             process._waiting_on = None
-            self._schedule_at(self.now, self._resume, process, None)
+            self.events.push(self.clock._now, self._resume, process, None)
         # Else: on the CPU (queued or mid-slice); the pending interrupt is
         # delivered when the slice completes (see CPU._slice_done).
 
     def _resume(self, process: Process, value: Any) -> None:
-        """Step ``process`` with ``value`` (engine/CPU/sync internal)."""
-        if not process.alive:
+        """Step ``process`` with ``value`` and route the request it yields
+        (engine/CPU/sync internal).
+
+        A zero-length :class:`Compute` needs no core, so the generator is
+        resumed at once by the next pass of the loop rather than through
+        the CPU: a chain of them costs no stack depth.  Requests are routed
+        by exact type; the vocabulary is :class:`Compute`,
+        :class:`Timeout` and :class:`Wait`.
+        """
+        state = process.state
+        if state is _FINISHED or state is _FAILED:
             raise SimulationError(f"resume of finished process {process.name!r}")
         process._timeout_event = None
         process._waiting_on = None
-        self._current_stack.append(process)
+        caller = self.current_process
+        self.current_process = process
+        gen = process._gen
         try:
-            process._step(value)
+            while True:
+                process.state = _RUNNABLE
+                try:
+                    if process._pending_interrupt is None:
+                        request = gen.send(value)
+                    else:
+                        exc, process._pending_interrupt = \
+                            process._pending_interrupt, None
+                        request = gen.throw(exc)
+                except StopIteration as stop:
+                    process._finish(stop.value)
+                    return
+                except Interrupted:
+                    # Uncaught interrupt: the process dies quietly (its done
+                    # completion fires with None); the simulation continues.
+                    process._finish(None)
+                    return
+                except BaseException as exc:  # model bug: fail fast, keep context
+                    process.state = _FAILED
+                    process.exception = exc
+                    process.finished_at_ns = self.clock._now
+                    # Abort the run loop once this event's callback returns.
+                    if self._pending_failure is None:
+                        self._pending_failure = (process, exc)
+                    return
+                kind = type(request)
+                if kind is Compute:
+                    if request.ns:
+                        self.cpu.submit(process, request.ns)
+                        return
+                    value = None
+                elif kind is Timeout:
+                    process.state = _WAITING
+                    process._timeout_event = self.events.push(
+                        self.clock._now + request.ns, self._resume, process, None)
+                    return
+                elif kind is Wait:
+                    completion = request.completion
+                    if completion.fired:
+                        # Resume on a fresh event to keep FIFO order.
+                        self.events.push(self.clock._now, self._resume,
+                                         process, completion.value)
+                    else:
+                        completion._waiters.append(process)
+                        process.state = _WAITING
+                        process._waiting_on = completion
+                    return
+                else:
+                    raise SimulationError(f"process {process.name!r} yielded "
+                                          f"unknown request {request!r}")
         finally:
-            self._current_stack.pop()
-
-    def _process_finished(self, process: Process) -> None:
-        """Hook called when a process's generator returns."""
-
-    def _process_failed(self, process: Process, exc: BaseException) -> None:
-        """Hook called when a process raises; aborts the run loop."""
-        if self._pending_failure is None:
-            self._pending_failure = (process, exc)
+            self.current_process = caller

@@ -9,11 +9,17 @@ so every heap comparison is a C-level ``(int, int)`` compare instead of a
 generated dataclass ``__lt__``.  Callbacks carry their arguments in the
 event (``push(t, fn, *args)``), so hot paths schedule bound methods
 directly instead of allocating a closure per event.
+
+The engine's run loop calls into the queue once per event: it guards on
+``_live`` (the count :meth:`EventQueue.__len__` returns) and calls
+:meth:`EventQueue.pop`, consulting :meth:`EventQueue.peek_time` only when
+it runs to a time limit.  Subclasses that count, digest or perturb events
+therefore override ``pop`` or ``push`` and keep ``_live`` exact.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -50,6 +56,10 @@ class ScheduledEvent:
                 f"{state})")
 
 
+#: Allocates a :class:`ScheduledEvent` without running its ``__init__``.
+_new_event = object.__new__
+
+
 class EventQueue:
     """Deterministic min-heap of :class:`ScheduledEvent` objects."""
 
@@ -64,14 +74,24 @@ class EventQueue:
 
     def push(self, time_ns: int, callback: Callable[..., None],
              *args: Any) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at absolute time ``time_ns``."""
+        """Schedule ``callback(*args)`` at absolute time ``time_ns``.
+
+        The event's slots are filled here rather than by
+        ``ScheduledEvent.__init__``: one frame per push instead of two.
+        """
         if time_ns < 0:
             raise SimulationError(f"cannot schedule event at negative time {time_ns}")
         seq = self._seq
-        event = ScheduledEvent(time_ns, seq, callback, args)
         self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._heap, (time_ns, seq, event))
+        event = _new_event(ScheduledEvent)
+        event.time_ns = time_ns
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.executed = False
+        heappush(self._heap, (time_ns, seq, event))
         return event
 
     def pop(self) -> ScheduledEvent:
@@ -82,7 +102,7 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[2]
+            event = heappop(heap)[2]
             if event.cancelled:
                 continue
             self._live -= 1
@@ -94,7 +114,7 @@ class EventQueue:
         """Time of the earliest live event, or ``None`` if the queue is empty."""
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+            heappop(heap)
         if not heap:
             return None
         return heap[0][0]

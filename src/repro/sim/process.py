@@ -131,45 +131,12 @@ class Process:
         """True while the process has not finished or failed."""
         return self.state not in (ProcessState.FINISHED, ProcessState.FAILED)
 
-    def _step(self, value: Any) -> None:
-        """Advance the generator with ``value`` and dispatch its request.
-
-        A zero-length :class:`Compute` needs no core, so the generator is
-        resumed at once by the next pass of this loop rather than through
-        the engine and the CPU: a chain of them costs no stack depth.
-        """
-        while True:
-            self.state = ProcessState.RUNNABLE
-            try:
-                if self._pending_interrupt is not None:
-                    exc, self._pending_interrupt = self._pending_interrupt, None
-                    request = self._gen.throw(exc)
-                else:
-                    request = self._gen.send(value)
-            except StopIteration as stop:
-                self._finish(stop.value)
-                return
-            except Interrupted:
-                # Uncaught interrupt: the process dies quietly (its done
-                # completion fires with None); the simulation continues.
-                self._finish(None)
-                return
-            except BaseException as exc:  # model bug: fail fast, keep context
-                self.state = ProcessState.FAILED
-                self.exception = exc
-                self.finished_at_ns = self._engine.now
-                self._engine._process_failed(self, exc)
-                return
-            if not isinstance(request, Compute) or request.ns:
-                break
-            value = None
-        self._engine._dispatch(self, request)
-
     def _finish(self, result: Any) -> None:
+        """Record the generator's return and wake everyone joined on it
+        (called by :meth:`~repro.sim.engine.Simulator._resume`)."""
         self.state = ProcessState.FINISHED
         self.result = result
         self.finished_at_ns = self._engine.now
-        self._engine._process_finished(self)
         self.done.fire(result)
 
     def __repr__(self) -> str:

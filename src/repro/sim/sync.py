@@ -60,13 +60,6 @@ class Completion:
         value = yield Wait(self)
         return value
 
-    def _add_waiter(self, process: "Process") -> bool:
-        """Register ``process``; returns False if already fired (no block)."""
-        if self.fired:
-            return False
-        self._waiters.append(process)
-        return True
-
     def __repr__(self) -> str:
         state = "fired" if self.fired else f"{len(self._waiters)} waiters"
         return f"Completion({self.name!r}, {state})"
@@ -168,8 +161,8 @@ class PriorityMutex:
         self.name = name
         self.wake_cost_ns = wake_cost_ns
         self.owner: "Process | None" = None
-        self._wait_queue: list[tuple[int, Completion, "Process"]] = []
-        self._seq = 0
+        # (ticket, waiter) in arrival order, which is the FIFO tie-break.
+        self._wait_queue: list[tuple[Completion, "Process"]] = []
         self.total_acquires = 0
         self.contended_acquires = 0
 
@@ -189,8 +182,7 @@ class PriorityMutex:
             return None
         self.contended_acquires += 1
         ticket = Completion(self._engine, name=f"{self.name}.ticket")
-        self._wait_queue.append((self._seq, ticket, process))
-        self._seq += 1
+        self._wait_queue.append((ticket, process))
         yield Wait(ticket)
         # An interrupt landing on the wake cost must hand the lock on.
         if self.wake_cost_ns:
@@ -202,18 +194,31 @@ class PriorityMutex:
         return None
 
     def release(self) -> None:
-        """Release; ownership passes to the best *live* queued waiter."""
+        """Release; ownership passes to the best *live* queued waiter.
+
+        One pass over the wait queue compacts it in place, dropping tickets
+        whose waiter was interrupted while queued, and keeps the first live
+        waiter of the lowest priority: the queue is in arrival order, so
+        that is the lowest ``(priority, arrival)``.
+        """
         if self.owner is None:
             raise SimulationError(f"release of unlocked lock {self.name!r}")
         self.owner = None
-        # Drop tickets whose waiter was interrupted while queued.
-        self._wait_queue = [entry for entry in self._wait_queue
-                            if entry[1]._waiters]
-        if self._wait_queue:
-            best_index = min(range(len(self._wait_queue)),
-                             key=lambda i: (self._wait_queue[i][2].priority,
-                                            self._wait_queue[i][0]))
-            _, ticket, process = self._wait_queue.pop(best_index)
+        queue = self._wait_queue
+        kept = 0
+        best = -1
+        best_priority = 0
+        for entry in queue:
+            if entry[0]._waiters:
+                priority = entry[1].priority
+                if best < 0 or priority < best_priority:
+                    best = kept
+                    best_priority = priority
+                queue[kept] = entry
+                kept += 1
+        del queue[kept:]
+        if best >= 0:
+            ticket, process = queue.pop(best)
             self.owner = process
             ticket.fire(None)
 

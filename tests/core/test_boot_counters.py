@@ -3,31 +3,46 @@
 The simulated results of a boot are pinned elsewhere (report bytes, the
 paper's numbers); these pin what the CPU model did to get there: busy and
 dispatch time, the number of scheduling decisions, the deepest run queue,
-how many events the loop popped and the final clock.  A scheduler change
-that keeps every result but takes a different path (an extra dispatch, a
-skipped event) fails here.
+how many events the loop popped, a digest of the popped event stream and
+the final clock.  A scheduler change that keeps every result but takes a
+different path (an extra dispatch, a skipped event, two same-time events
+swapped) fails here.
 """
+
+import hashlib
 
 import pytest
 
 from repro.core import BBConfig, BootSimulation
 from repro.faults import build_preset
-from repro.sim import CpuStats
+from repro.sim import CpuStats, Process
 from repro.sim.events import EventQueue
 from repro.workloads import WORKLOAD_FACTORIES
 
 
 class CountingQueue(EventQueue):
-    """An event queue that counts the events the run loop pops."""
+    """An event queue that counts the events the run loop pops and folds
+    each one's ``(time_ns, seq, process name)`` into a sha256.
+
+    The process is the one the event resumes or slices (its first
+    argument); events about no process fold an empty name.
+    """
 
     def __init__(self):
         super().__init__()
         self.popped = 0
+        self._digest = hashlib.sha256()
 
     def pop(self):
         event = super().pop()
         self.popped += 1
+        args = event.args
+        name = args[0].name if args and isinstance(args[0], Process) else ""
+        self._digest.update(f"{event.time_ns},{event.seq},{name};".encode())
         return event
+
+    def hexdigest(self):
+        return self._digest.hexdigest()
 
 
 # (workload, BB, cores, fault preset) ->
@@ -39,6 +54,16 @@ CASES = {
         (6918778200, 14302000, 7151, 58, 7359, 4216942691),
     ("tv", "full", None, "flaky-services"):
         (10943185390, 23270000, 11635, 35, 12141, 3952985008),
+}
+
+# The sha256 of each case's popped event stream (see CountingQueue).
+EVENT_DIGESTS = {
+    ("tv-commercial", "none", 2, None):
+        "27ea53b55e92cfe4533993f6a27de050a5a773b59e57e5f6c576e36c2eada998",
+    ("phone", "full", 2, None):
+        "800b8472c644e65ce6990d26b278eeba67dceecc95da247590ae212f096c0895",
+    ("tv", "full", None, "flaky-services"):
+        "38a5e581ed1995a41df1da13eb530f8d76bfacf9d87ee6fb9168d770be9f37c2",
 }
 
 
@@ -65,3 +90,4 @@ def test_boot_scheduler_counters_are_pinned(case):
         peak_runnable=peak)
     assert queue.popped == events
     assert simulation.sim.now == now
+    assert queue.hexdigest() == EVENT_DIGESTS[case]

@@ -7,6 +7,7 @@ from repro.errors import (DependencyCycleError, TransactionError,
 from repro.initsys.registry import UnitRegistry
 from repro.initsys.transaction import EdgeKind, Transaction
 from repro.initsys.units import Unit
+from repro.workloads import WORKLOAD_FACTORIES
 
 
 def test_closure_pulls_requires_and_wants():
@@ -142,6 +143,21 @@ def test_predecessors_query():
     txn = Transaction(registry, ["goal.target"])
     preds = txn.predecessors("b.service")
     assert [(e.predecessor, e.kind) for e in preds] == [("a.service", EdgeKind.STRONG)]
+
+
+def test_predecessors_index_matches_an_edge_scan():
+    workload = WORKLOAD_FACTORIES["tv-commercial"]()
+    registry = workload.fresh_registry()
+    registry.apply_install_sections()
+    txn = Transaction(registry, [workload.goal])
+    assert txn.edges
+    for name in txn.jobs:
+        preds = txn.predecessors(name)
+        assert preds == [e for e in txn.edges if e.successor == name]
+        preds.clear()  # a fresh list: the index is not handed out
+        assert txn.predecessors(name) == [e for e in txn.edges
+                                          if e.successor == name]
+    assert txn.predecessors("not-in-transaction.service") == []
 
 
 def test_job_lookup_outside_transaction_rejected():

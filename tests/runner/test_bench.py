@@ -3,8 +3,9 @@
 import json
 
 from repro.runner.bench import (BOOT_CASES, _drive_queue, bench_cache,
-                                bench_checkpoint, bench_event_queue,
-                                build_record, checkpoint_matrix, write_record)
+                                bench_checkpoint, bench_design_space,
+                                bench_event_queue, bench_fleet, build_record,
+                                checkpoint_matrix, write_record)
 from repro.runner.branch import BACKEND_REPLAY
 from repro.sim.events import EventQueue
 
@@ -41,14 +42,21 @@ def test_checkpoint_benchmark_outputs_identical():
     assert result["runner"]["branched"] == 8
 
 
+def test_design_space_and_fleet_benchmarks_are_identity_checked():
+    assert bench_design_space(smoke=True)["frontier_identical"] is True
+    assert bench_fleet(smoke=True, total_jobs=200)["outputs_identical"] is True
+
+
 def test_record_roundtrips_as_json(tmp_path):
     record = build_record(jobs=1, events=2_000, skip_sweep=True,
-                          skip_checkpoint=True)
+                          skip_checkpoint=True, skip_predict=True,
+                          skip_fleet=True)
     path = tmp_path / "BENCH_runner.json"
     write_record(record, str(path))
     loaded = json.loads(path.read_text())
     assert "event_queue" in loaded and "code_version" in loaded
     assert "cache" in loaded and "checkpoint" not in loaded
+    assert "design_space" not in loaded and "fleet" not in loaded
     boots = loaded["boots"]
     assert len(boots) == len(BOOT_CASES)
     # The commercial TV's spinning RCU waiters make no-BB the heavy boot.
@@ -56,4 +64,7 @@ def test_record_roundtrips_as_json(tmp_path):
     assert heavy["dispatches"] > light["dispatches"] > 0
     assert heavy["complete_ms"] > light["complete_ms"] > 0
     assert all(boot["des_ms"] > 0 and boot["predict_ms"] > 0
+               for boot in boots.values())
+    # The completion leg is part of the same timed boots as des_ms.
+    assert all(0 < boot["des_complete_ms"] <= boot["des_ms"]
                for boot in boots.values())

@@ -5,6 +5,24 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.quantities import msec
 from repro.sim import Compute, Simulator, Timeout, Wait
+from repro.sim.events import EventQueue
+
+
+class CallCountingQueue(EventQueue):
+    """An event queue that counts the loop's calls into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pops = 0
+        self.peeks = 0
+
+    def pop(self):
+        self.pops += 1
+        return super().pop()
+
+    def peek_time(self):
+        self.peeks += 1
+        return super().peek_time()
 
 
 def test_timeout_advances_time_without_cpu():
@@ -146,6 +164,56 @@ def test_run_until_stops_early():
     assert process.alive
     sim.run()
     assert not process.alive
+
+
+def test_run_pops_once_per_event_and_peeks_only_to_a_time_limit():
+    queue = CallCountingQueue()
+    sim = Simulator(cores=1, quantum_ns=msec(1), event_queue=queue)
+
+    def worker():
+        yield Compute(msec(3))  # three slices
+        yield Timeout(msec(1))
+
+    sim.spawn(worker(), name="worker")
+    sim.spawn(worker(), name="other")
+    sim.run(until_ns=msec(2))
+    assert queue.peeks == queue.pops + 1  # the last peek finds the limit
+    popped_to_limit = queue.pops
+    sim.run()
+    assert queue.peeks == popped_to_limit + 1
+    assert queue.pops == queue._seq  # every scheduled event, once
+    assert sim.now == msec(7) + 6 * sim.cpu.switch_cost_ns
+
+
+def test_event_before_the_clock_is_rejected():
+    sim = Simulator()
+    sim.call_at(msec(5), lambda: None)
+    sim.run()
+    sim.events.push(msec(1), lambda: None)
+    with pytest.raises(SimulationError, match="backwards"):
+        sim.run()
+
+
+def test_current_process_is_restored_after_a_nested_resume():
+    sim = Simulator()
+    gate = sim.completion("gate")
+    seen = []
+
+    def waiter():
+        yield Wait(gate)
+        seen.append(("waiter", sim.current_process.name))
+
+    def firer():
+        yield Timeout(1)
+        gate.fire()  # steps the waiter inside this step
+        seen.append(("firer", sim.current_process.name))
+
+    sim.spawn(waiter(), name="waiter")
+    sim.spawn(firer(), name="firer")
+    assert sim.current_process is None
+    sim.run()
+    assert seen == [("waiter", "waiter"), ("firer", "firer")]
+    assert sim.current_process is None
 
 
 def test_deadlock_detection_reports_blocked_processes():

@@ -174,6 +174,40 @@ def test_interrupted_priority_mutex_waiter_skipped():
     assert order == ["first", "third"]
 
 
+def test_priority_mutex_release_drops_every_interrupted_waiter():
+    """Dead tickets anywhere in the queue are dropped in one release; the
+    live ones are served by priority, then arrival."""
+    sim = Simulator(cores=8, switch_cost_ns=0)
+    lock = PriorityMutex(sim, wake_cost_ns=0)
+    order = []
+
+    def holder():
+        yield from lock.acquire()
+        yield Timeout(msec(10))
+        lock.release()
+
+    def worker(name):
+        yield Timeout(1)
+        yield from lock.acquire()
+        order.append((name, repr(lock)))
+        lock.release()
+
+    sim.spawn(holder(), name="holder")
+    victims = []
+    for name, priority in (("a", 5), ("dead1", 1), ("b", 5), ("dead2", 1),
+                           ("c", 3), ("d", 3)):
+        process = sim.spawn(worker(name), name=name, priority=priority)
+        if name.startswith("dead"):
+            victims.append(process)
+    for victim in victims:
+        sim.call_after(msec(5), sim.interrupt, victim)
+    sim.run()
+    assert order == [
+        (name, f"PriorityMutex('priority-mutex', owner='{name}', "
+               f"queued={queued})")
+        for name, queued in (("c", 3), ("d", 2), ("a", 1), ("b", 0))]
+
+
 def test_interrupted_spinlock_waiter_does_not_wedge_tickets():
     sim = Simulator(cores=4, switch_cost_ns=0)
     lock = SpinLock(sim, acquire_cost_ns=0, spin_slice_ns=msec(1))
