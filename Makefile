@@ -1,6 +1,6 @@
 # Convenience targets for the BB reproduction.
 
-.PHONY: install test test-fast coverage verify recover predict bench bench-smoke perfbench-test boot-reference fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
+.PHONY: install test test-fast coverage verify recover predict bench bench-smoke perfbench-test boot-reference sweep-reference fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
 
 PYTEST = PYTHONPATH=src python -m pytest
 
@@ -70,6 +70,15 @@ perfbench-test:
 # the mismatching cases.  Reads perfbench/, writes nothing.
 boot-reference:
 	python3 scripts/check_boot_reference.py
+
+# Whole-pool predictor identity gate: run all 37 sweeps of the
+# design-sweep reference pool (every sweep any perfbench seed can draw,
+# where the benchmark itself checks one seed's 7) through the analytic
+# pre-filter and compare each frontier, its predictions and its DES
+# statistics with perfbench/reference/design-sweep.json.  Nonzero exit
+# names the mismatching sweeps.  Reads perfbench/, writes nothing.
+sweep-reference:
+	python3 scripts/check_sweep_reference.py
 
 # CI-scale fleet campaign: 500 jobs through the async boot service
 # (TCP/JSON-lines, single-flight scheduler, auto-scaled worker shards),

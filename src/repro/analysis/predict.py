@@ -11,12 +11,14 @@ This module evaluates exactly that arithmetic:
   simulator — their cost is a sum, computed directly from the same model
   objects (:class:`~repro.kernel.sequence.KernelBootSequence`,
   :class:`~repro.initsys.preparser.PreParser`, ...) the DES uses;
-* the service-launch phase is solved by a small deterministic list
-  scheduler over the boot transaction: one lightweight task per start
+* the service-launch phase runs on :class:`_Machine`, a plain replica of
+  the DES scheduler (:mod:`repro.sim`): one lightweight task per start
   job replays the shepherd's step sequence (ordering gates, fork through
   the manager lock, exec read through the storage channel, init chunks,
-  ``synchronize_rcu``, settle, readiness), with BB's Group Isolator edge
-  pruning and Manager priorities applied analytically.
+  ``synchronize_rcu``, settle, readiness) slice by slice, with BB's Group
+  Isolator edge pruning and Manager priorities applied analytically.
+  Every cost, priority and calibration it charges is read from the name
+  the DES defines it under, never copied.
 
 The solver is validated against the simulator by the ``predicted``
 differential-oracle group in :mod:`repro.verify` (gem5's
@@ -40,22 +42,31 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.config import BBConfig
 from repro.core.core_engine import CoreEngine
 from repro.core.service_engine import ServiceEngine
 from repro.errors import AnalysisError, ReproError
 from repro.hw.storage import AccessPattern
+from repro.initsys.executor import SERVICE_PRIORITY
+from repro.initsys.manager import (FORK_WAKE_COST_NS, KMOD_PRIORITY,
+                                   MANAGER_PRIORITY)
+from repro.initsys.preparser import (PreParser, RegistryTextStats,
+                                     registry_text_stats)
+from repro.initsys.startup_tasks import STARTUP_TASKS, SUBMODULE_TASKS
 from repro.initsys.transaction import EdgeKind, Transaction
 from repro.initsys.units import ServiceType, UnitType
-from repro.kernel.rcu import RCUSubsystem
+from repro.kernel.initcalls import DEMAND_OVERHEAD_NS
+from repro.kernel.modules import SYSCALL_COST_NS, SYSCALLS_PER_LOAD
+from repro.kernel.rcu import (BOOSTED_OP_CPU_NS, CONVENTIONAL_OP_CPU_NS,
+                              EXPEDITED_GRACE_PERIOD_NS, GRACE_PERIOD_NS,
+                              SPIN_SLICE_NS)
 from repro.sim.cpu import DEFAULT_QUANTUM_NS, DEFAULT_SWITCH_COST_NS
-from repro.sim.sync import Mutex, SpinLock
+from repro.sim.sync import MUTEX_WAKE_COST_NS, SPIN_ACQUIRE_COST_NS
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:
-    from repro.initsys.registry import UnitRegistry
     from repro.runner.jobs import SimJob
 
 #: Relative tolerance of the ``predicted`` verify oracle: |predicted -
@@ -64,12 +75,6 @@ if TYPE_CHECKING:
 #: the band exists so a future micro-cost added to the simulator fails
 #: soft with a diagnosable drift report instead of a hard mismatch.
 PREDICTION_TOLERANCE = 0.001
-
-#: Scheduling priorities mirrored from the simulator (see
-#: :mod:`repro.initsys.manager` / :mod:`repro.initsys.executor`).
-_MANAGER_PRIORITY = 50
-_KMOD_PRIORITY = 60
-_SERVICE_PRIORITY = 100
 
 #: Simulated-time horizon for the service phase.  The simulated init
 #: model can genuinely livelock — conventional-RCU ticket spinners at
@@ -85,8 +90,7 @@ _SERVICE_PRIORITY = 100
 LIVELOCK_HORIZON_NS = 120_000_000_000
 
 
-def compute_wall_ns(ns: int, quantum_ns: int = DEFAULT_QUANTUM_NS,
-                    switch_cost_ns: int = DEFAULT_SWITCH_COST_NS) -> int:
+def compute_wall_ns(ns: int) -> int:
     """Wall time of an uncontended ``Compute(ns)`` on the CPU model.
 
     The scheduler charges one dispatch (context switch) per quantum
@@ -94,45 +98,12 @@ def compute_wall_ns(ns: int, quantum_ns: int = DEFAULT_QUANTUM_NS,
     """
     if ns <= 0:
         return 0
-    slices = -(-ns // quantum_ns)
-    return ns + slices * switch_cost_ns
+    slices = -(-ns // DEFAULT_QUANTUM_NS)
+    return ns + slices * DEFAULT_SWITCH_COST_NS
 
 
 # --------------------------------------------------------------------------
-# Registry text statistics (the expensive part of the unit-loading closed
-# form; cacheable across a sweep because they only depend on the unit set).
-
-
-@dataclass(frozen=True, slots=True)
-class RegistryTextStats:
-    """Serialized-unit-file statistics feeding the load-phase closed form."""
-
-    unit_count: int
-    total_text_bytes: int
-    parse_text_ns: int  # sum of per-unit parse costs (base + per-byte)
-    edge_count: int
-
-
-def registry_text_stats(registry: "UnitRegistry",
-                        parse_base_ns: int,
-                        parse_per_byte_ns: float) -> RegistryTextStats:
-    """Compute the text statistics of ``registry`` (renders every unit)."""
-    from repro.initsys.preparser import dependency_edge_count
-
-    total = 0
-    parse = 0
-    for unit in registry:
-        nbytes = len(registry.dump_unit_text(unit.name).encode())
-        total += nbytes
-        parse += parse_base_ns + round(parse_per_byte_ns * nbytes)
-    return RegistryTextStats(unit_count=len(registry),
-                             total_text_bytes=total,
-                             parse_text_ns=parse,
-                             edge_count=dependency_edge_count(registry))
-
-
-# --------------------------------------------------------------------------
-# The list-scheduler virtual machine for the service-launch phase.
+# The replica of the DES scheduler for the service-launch phase.
 
 
 class _Gate:
@@ -146,131 +117,109 @@ class _Gate:
 
 
 class _Lock:
-    """A sleeping lock granted to the best (priority, FIFO) waiter.
+    """A sleeping lock with direct handoff (see :meth:`_Machine.release`).
 
-    ``fifo=True`` ignores priority on release — the semantics of the
-    simulator's plain ``Mutex`` and ``SpinLock`` tickets, as opposed to
-    the ``PriorityMutex`` guarding the storage channel and fork path.
+    ``fifo=True`` is the simulator's plain ``Mutex``; otherwise it is the
+    ``PriorityMutex`` guarding the storage channel and the fork path.
     """
 
-    __slots__ = ("owner", "queue", "wake_cost_ns", "seq", "fifo")
+    __slots__ = ("owner", "queue", "wake_cost_ns", "fifo")
 
-    def __init__(self, wake_cost_ns: int = 0, fifo: bool = False) -> None:
+    def __init__(self, wake_cost_ns: int, fifo: bool = False) -> None:
         self.owner: "_Task | None" = None
-        self.queue: list[tuple[int, "_Task"]] = []
+        self.queue: list["_Task"] = []  # in arrival order
         self.wake_cost_ns = wake_cost_ns
-        self.seq = 0
         self.fifo = fifo
 
 
 class _Task:
     """One schedulable activity (a shepherd, the kmod worker, ...)."""
 
-    __slots__ = ("gen", "priority", "name")
+    __slots__ = ("gen", "priority")
 
-    def __init__(self, gen: Any, priority: int, name: str) -> None:
+    def __init__(self, gen: Any, priority: int) -> None:
         self.gen = gen
         self.priority = priority
-        self.name = name
 
 
 class _Machine:
-    """Deterministic list scheduler mirroring the DES dispatch rules.
+    """A plain replica of the DES scheduler (:mod:`repro.sim`).
 
     Tasks are generators yielding instruction tuples::
 
-        ("cpu", ns)      occupy a core for compute_wall_ns(ns)
+        ("cpu", ns)      run ns of work on a core, in quantum slices
         ("sleep", ns)    timer wait, no core
         ("wait", gate)   park until the gate fires (caller checks .fired)
-        ("fire", gate)   fire a gate, waking waiters synchronously
         ("lock", lock)   acquire; send-value True means it was contended
-        ("unlock", lock) release, granting the best queued waiter
 
-    The scheduler replicates the semantics the DES gets from its event
-    queue and :class:`~repro.sim.cpu.CPU`: cores are granted eagerly
-    inside synchronous wake cascades, freed cores are visible to the
-    cascade that freed them, and ties break FIFO by enqueue order.
+    and call :meth:`fire` and :meth:`release` directly, as DES processes
+    call ``Completion.fire`` and ``PriorityMutex.release``: the woken
+    tasks run before the caller continues.  The CPU follows
+    :class:`~repro.sim.cpu.CPU` event for event: a run queue ordered by
+    ``(priority, seq)``, one dispatch cost per slice of at most one
+    quantum, and at every quantum boundary the task goes back through the
+    run queue, so a higher-priority task takes the core within one
+    quantum.  Cores are granted eagerly inside synchronous wake cascades,
+    freed cores are visible to the cascade that freed them, and ties
+    break FIFO by enqueue order.
     """
 
-    def __init__(self, cores: int, start_ns: int,
-                 quantum_ns: int = DEFAULT_QUANTUM_NS,
-                 switch_cost_ns: int = DEFAULT_SWITCH_COST_NS) -> None:
+    def __init__(self, cores: int, start_ns: int) -> None:
         self.now = start_ns
+        self.deadline_ns = start_ns + LIVELOCK_HORIZON_NS
         self.idle = cores
-        self.quantum_ns = quantum_ns
-        self.switch_cost_ns = switch_cost_ns
         self.stopped = False
-        # Event records: [time, seq, task, remaining_ns] — remaining < 0
-        # marks a plain resume (timer expiry / zero-delay wake), >= 0 a
-        # CPU run completing with that much work still owed.  A record
-        # whose task slot is None has been cancelled (lazy heap delete).
-        self._events: list[list] = []
+        # Events: (time, seq, task, remaining_ns) — remaining < 0 is a
+        # plain resume (timer expiry, wait on a fired gate), >= 0 the end
+        # of a slice with that much work still owed.
+        self._events: list[tuple[int, int, "_Task", int]] = []
         self._eseq = 0
         self._run: list[tuple[int, int, "_Task", int]] = []
         self._rseq = 0
-        # In-flight multi-quantum batched runs: id(record) -> (record,
-        # start_ns, total_ns).  See _begin_run/_split_batches.
-        self._batches: dict[int, tuple[list, int, int]] = {}
 
     # -------------------------------------------------------------- driving
 
     def start(self, task: "_Task") -> None:
         self._drive(task, None)
 
-    def run(self, horizon_ns: int) -> None:
+    def run(self) -> None:
         pop = heapq.heappop
-        push = heapq.heappush
         events = self._events
+        run = self._run
         while events and not self.stopped:
-            e = pop(events)
-            task = e[2]
-            if task is None:
-                continue  # cancelled by a batch split
-            time_ns = e[0]
-            self.now = time_ns
-            if time_ns > horizon_ns:
+            time_ns, _, task, remaining_ns = pop(events)
+            if time_ns > self.deadline_ns:
                 raise AnalysisError(
-                    f"no boot completion after {horizon_ns / 1e9:.0f} "
-                    f"simulated seconds — the configuration livelocks "
-                    f"(e.g. conventional-RCU spinners starved by "
-                    f"priority-boosted work on a saturated CPU)")
-            if self._batches:
-                # Any real event firing may change scheduler state, so
-                # in-flight batches lose their skipped boundaries first.
-                self._batches.pop(id(e), None)
-                if self._batches:
-                    self._split_batches()
-                    if events and events[0] < e:
-                        # A split landed a boundary at this very instant
-                        # with an earlier sequence number — it goes first.
-                        push(events, e)
-                        continue
-            remaining_ns = e[3]
-            if remaining_ns < 0:
-                self._drive(task, None)
+                    f"no boot completion after "
+                    f"{LIVELOCK_HORIZON_NS / 1e9:.0f} simulated seconds of "
+                    f"services phase — the configuration livelocks (e.g. "
+                    f"conventional-RCU spinners starved by priority-boosted "
+                    f"work on a saturated CPU)")
+            self.now = time_ns
+            if remaining_ns > 0:
+                # Quantum boundary (CPU._slice_done): the task goes back
+                # through the run queue, and the freed core goes to the
+                # queue's head — the task itself when nothing queued is as
+                # urgent.  Exact because the freed core is the only idle
+                # one or nothing is queued.
+                _, _, task, remaining_ns = heapq.heappushpop(
+                    run, (task.priority, self._rseq, task, remaining_ns))
+                self._rseq += 1
+                self._start_slice(task, remaining_ns)
             elif remaining_ns == 0:
                 # Compute finished: free the core before resuming so the
                 # wake cascade can immediately claim it (DES ordering).
                 self.idle += 1
                 self._drive(task, None)
-                if self._run and self.idle > 0:
+                if run and self.idle > 0:
                     self._dispatch()
             else:
-                # Preempted at a quantum boundary with work still owed.
-                if not self._run:
-                    # No contender: the task re-wins the very core it
-                    # just released, so the core never goes idle — chain
-                    # the rest of the work as one batched run.
-                    self._begin_run(task, remaining_ns)
-                else:
-                    self.idle += 1
-                    self._enqueue(task, remaining_ns)
-                    self._dispatch()
+                self._drive(task, None)
 
     def _schedule(self, delay_ns: int, task: "_Task",
                   remaining_ns: int) -> None:
         heapq.heappush(self._events,
-                       [self.now + delay_ns, self._eseq, task, remaining_ns])
+                       (self.now + delay_ns, self._eseq, task, remaining_ns))
         self._eseq += 1
 
     def _drive(self, task: "_Task", value: Any) -> None:
@@ -282,15 +231,12 @@ class _Machine:
                 if op == "cpu":
                     if operand <= 0:
                         continue  # Compute(0) resumes synchronously
-                    # Fast path: a free core and an empty queue means the
-                    # task is dispatched immediately — skip the run-queue
-                    # round trip entirely.
                     if self.idle > 0 and not self._run:
                         self.idle -= 1
-                        self._begin_run(task, operand)
-                        return
-                    self._enqueue(task, operand)
-                    self._dispatch()
+                        self._start_slice(task, operand)
+                    else:
+                        self._enqueue(task, operand)
+                        self._dispatch()
                     return
                 if op == "sleep":
                     self._schedule(operand, task, -1)
@@ -303,20 +249,13 @@ class _Machine:
                     else:
                         operand.waiters.append(task)
                     return
-                if op == "fire":
-                    self.fire(operand)
-                    continue
                 if op == "lock":
                     if operand.owner is None:
                         operand.owner = task
                         value = False
                         continue
-                    operand.queue.append((operand.seq, task))
-                    operand.seq += 1
+                    operand.queue.append(task)
                     return
-                if op == "unlock":
-                    self._release(operand)
-                    continue
                 raise AnalysisError(f"unknown VM instruction {op!r}")
         except StopIteration:
             return
@@ -324,41 +263,34 @@ class _Machine:
     # ------------------------------------------------------- wake machinery
 
     def fire(self, gate: "_Gate") -> None:
-        if gate.fired:
-            return
+        """Fire ``gate``, resuming its waiters in order
+        (``Completion.fire``)."""
         gate.fired = True
         waiters, gate.waiters = gate.waiters, []
         for waiter in waiters:
             self._drive(waiter, None)
 
-    def _release(self, lock: "_Lock") -> None:
-        lock.owner = None
-        if not lock.queue:
+    def release(self, lock: "_Lock") -> None:
+        """Hand ``lock`` to its first queued task of the lowest priority,
+        read now (``PriorityMutex.release``), or to its first queued task
+        if it is FIFO (``Mutex.release``)."""
+        queue = lock.queue
+        if not queue:
+            lock.owner = None
             return
-        if lock.fifo:
-            best = 0
-        else:
-            best = min(range(len(lock.queue)),
-                       key=lambda i: (lock.queue[i][1].priority,
-                                      lock.queue[i][0]))
-        _, task = lock.queue.pop(best)
-        lock.owner = task
+        best = 0
+        if not lock.fifo:
+            best_priority = queue[0].priority
+            for index, waiter in enumerate(queue):
+                if waiter.priority < best_priority:
+                    best = index
+                    best_priority = waiter.priority
+        task = lock.owner = queue.pop(best)
         self._drive(task, True)
 
     # --------------------------------------------------------- CPU modelling
-    # Slice-accurate replica of repro.sim.cpu.CPU: computations are run
-    # in quantum slices with a dispatch cost per slice, and a preempted
-    # task re-enqueues at the back of its priority class.  Quantum
-    # round-robin is what lets the BB Manager's priority boost reclaim a
-    # core mid-computation — a first-order effect on boot time, not a
-    # detail.
 
     def _enqueue(self, task: "_Task", remaining_ns: int) -> None:
-        if self._batches:
-            # The run queue turning non-empty invalidates the skipped
-            # boundaries of every in-flight batch: at each one, this
-            # arrival could rotate onto the core.
-            self._split_batches()
         heapq.heappush(self._run,
                        (task.priority, self._rseq, task, remaining_ns))
         self._rseq += 1
@@ -367,76 +299,16 @@ class _Machine:
         while self.idle > 0 and self._run:
             _, _, task, remaining_ns = heapq.heappop(self._run)
             self.idle -= 1
-            self._begin_run(task, remaining_ns)
+            self._start_slice(task, remaining_ns)
 
-    def _begin_run(self, task: "_Task", remaining_ns: int) -> None:
-        """Put an already-claimed core to work on ``remaining_ns``.
-
-        With contenders queued, exactly one quantum runs before the
-        boundary rotation (plain DES behaviour).  With an empty run
-        queue, every remaining quantum is chained into one batched event:
-        at each skipped boundary the task would re-win its own core, so
-        the outcome is bit-identical *provided nothing else happens
-        first* — and any event pop or run-queue arrival before a skipped
-        boundary splits the batch back to that boundary (see
-        :meth:`_split_batches`), restoring plain stepping exactly.
-        """
-        quantum = self.quantum_ns
-        if remaining_ns <= quantum:
-            self._schedule(self.switch_cost_ns + remaining_ns, task, 0)
-            return
-        if self._run:
-            self._schedule(self.switch_cost_ns + quantum, task,
-                           remaining_ns - quantum)
-            return
-        slices = -(-remaining_ns // quantum)
-        rec = [self.now + remaining_ns + slices * self.switch_cost_ns,
-               self._eseq, task, 0]
-        self._eseq += 1
-        heapq.heappush(self._events, rec)
-        self._batches[id(rec)] = (rec, self.now, remaining_ns)
-
-    def _split_batches(self) -> None:
-        """Collapse every in-flight batch to its next quantum boundary.
-
-        Called at ``self.now`` before anything that can perturb the
-        scheduler (an event firing, an arrival in the run queue).  Each
-        batch keeps only the boundaries already safely in its past; the
-        rest of its work is re-posted as a plain single-slice record at
-        the first boundary at or after ``now``, which re-batches on its
-        own if the queue is still empty when it fires.
-
-        Sequence numbers are chosen so same-instant ties keep the DES
-        order: the first boundary's record reuses the batch's creation
-        seq (that IS the seq the unbatched event would have carried);
-        later boundaries take a fresh seq, which sorts after everything
-        pending — matching the unbatched schedule time of boundary i-1,
-        later than any event scheduled while the batch was whole.
-        """
-        step = self.quantum_ns + self.switch_cost_ns
-        quantum = self.quantum_ns
-        for rec, start, total in self._batches.values():
-            boundary = -((start - self.now) // step)  # ceil((now-start)/step)
-            if boundary < 1:
-                boundary = 1
-            slices = -(-total // quantum)
-            task = rec[2]
-            rec[2] = None  # lazy heap delete
-            if boundary < slices:
-                if boundary == 1:
-                    seq = rec[1]
-                else:
-                    seq = self._eseq
-                    self._eseq += 1
-                heapq.heappush(self._events,
-                               [start + boundary * step, seq, task,
-                                total - boundary * quantum])
-            else:
-                # Only the final partial slice is still in flight: keep
-                # the completion instant, refresh the seq for exact ties.
-                heapq.heappush(self._events, [rec[0], self._eseq, task, 0])
-                self._eseq += 1
-        self._batches.clear()
+    def _start_slice(self, task: "_Task", remaining_ns: int) -> None:
+        """Run the next slice of ``remaining_ns`` on an already-claimed
+        core (``CPU._start_slice``)."""
+        if remaining_ns > DEFAULT_QUANTUM_NS:
+            self._schedule(DEFAULT_SWITCH_COST_NS + DEFAULT_QUANTUM_NS, task,
+                           remaining_ns - DEFAULT_QUANTUM_NS)
+        else:
+            self._schedule(DEFAULT_SWITCH_COST_NS + remaining_ns, task, 0)
 
 
 def _acquire(lock: "_Lock"):
@@ -449,34 +321,29 @@ def _acquire(lock: "_Lock"):
 class _TicketSpin:
     """Replica of the simulator's ticket ``SpinLock`` (conventional RCU).
 
-    Spinners burn real core time in ``spin_slice_ns`` chunks and observe
+    Spinners burn real core time in ``SPIN_SLICE_NS`` chunks and observe
     a release only when their current slice completes — both effects the
-    RCU Booster exists to remove, so they must be priced faithfully.
+    RCU Booster exists to remove, so they must be priced faithfully.  The
+    lowest outstanding ticket is the dict's first key, as in the DES.
     """
 
-    __slots__ = ("held", "next_ticket", "tickets",
-                 "acquire_cost_ns", "spin_slice_ns")
+    __slots__ = ("held", "next_ticket", "tickets")
 
-    def __init__(self, acquire_cost_ns: int, spin_slice_ns: int) -> None:
+    def __init__(self) -> None:
         self.held = False
         self.next_ticket = 0
-        self.tickets: set[int] = set()
-        self.acquire_cost_ns = acquire_cost_ns
-        self.spin_slice_ns = spin_slice_ns
+        self.tickets: dict[int, None] = {}
 
     def acquire(self):
-        if self.acquire_cost_ns:
-            yield ("cpu", self.acquire_cost_ns)
+        yield ("cpu", SPIN_ACQUIRE_COST_NS)
         ticket = self.next_ticket
         self.next_ticket += 1
-        self.tickets.add(ticket)
-        while min(self.tickets) != ticket or self.held:
-            yield ("cpu", self.spin_slice_ns)
-        self.tickets.discard(ticket)
+        tickets = self.tickets
+        tickets[ticket] = None
+        while next(iter(tickets)) != ticket or self.held:
+            yield ("cpu", SPIN_SLICE_NS)
+        del tickets[ticket]
         self.held = True
-
-    def release(self) -> None:
-        self.held = False
 
 
 # --------------------------------------------------------------------------
@@ -541,36 +408,49 @@ def _kernel_stage_ns(core_engine: CoreEngine) -> int:
     return total
 
 
-def _startup_tasks_ns(config_tasks: Iterable, defer: bool) -> int:
-    """Serial cost of the manager's Fig. 6(b) initialization phase."""
-    return sum(compute_wall_ns(task.cpu_ns) for task in config_tasks
-               if not (defer and task.deferrable))
-
-
-def _load_units_ns(service_engine: ServiceEngine, storage,
-                   stats: RegistryTextStats, use_preparser: bool) -> int:
+def _load_units_ns(preparser: PreParser, storage, stats: RegistryTextStats,
+                   use_preparser: bool) -> int:
     """Serial cost of unit loading: Pre-parser cache or full text parse.
 
     In an unperturbed boot the cache is built from the exact registry it
     is loaded against, so it is always fresh — the stale-cache fallback
-    never triggers and its fingerprint never needs computing.
+    never triggers.
     """
-    preparser = service_engine.preparser
     if use_preparser:
-        blob = max(1, round(stats.total_text_bytes
-                            * preparser.cache_compression))
-        total = storage.read_time_ns(blob, AccessPattern.SEQUENTIAL)
-        total += compute_wall_ns(preparser.cached_unit_ns * stats.unit_count)
-        return total
-    loading_cpu = preparser.file_op_ns * preparser.file_ops_per_unit \
-        * stats.unit_count
-    total = compute_wall_ns(loading_cpu)
-    total += storage.read_time_ns(stats.total_text_bytes,
-                                  AccessPattern.RANDOM)
-    parsing_cpu = stats.parse_text_ns \
-        + preparser.resolve_per_edge_ns * stats.edge_count
-    total += compute_wall_ns(parsing_cpu)
-    return total
+        return (storage.read_time_ns(preparser.blob_bytes(stats),
+                                     AccessPattern.SEQUENTIAL)
+                + compute_wall_ns(preparser.cached_unit_ns * stats.unit_count))
+    return (compute_wall_ns(preparser.text_loading_cpu_ns(stats))
+            + storage.read_time_ns(stats.total_text_bytes,
+                                   AccessPattern.RANDOM)
+            + compute_wall_ns(preparser.text_parsing_cpu_ns(stats)))
+
+
+def _core_engine(workload: Workload, platform, bb: BBConfig,
+                 kernel_config: Any | None) -> CoreEngine:
+    """The kernel side of ``workload`` as the DES boots it."""
+    if kernel_config is None and workload.kernel_config_factory is not None:
+        kernel_config = workload.kernel_config_factory()
+    return CoreEngine(platform, bb, kernel_config=kernel_config,
+                      initcalls=workload.initcalls_factory(),
+                      builtin_initcalls=workload.builtin_initcalls_factory())
+
+
+def _serial_prefix(core_engine: CoreEngine, preparser: PreParser,
+                   stats: RegistryTextStats,
+                   bb: BBConfig) -> tuple[int, int, int, int]:
+    """Kernel, manager-init, unit-loading and sub-module times: the serial
+    stages before the services phase, in boot order."""
+    init_init_ns = sum(compute_wall_ns(task.cpu_ns) for task in STARTUP_TASKS
+                       if not (bb.defer_startup_tasks and task.deferrable))
+    submodules_ns = 0
+    if not bb.deferred_executor:
+        submodules_ns = sum(compute_wall_ns(task.cpu_ns)
+                            for task in SUBMODULE_TASKS)
+    return (_kernel_stage_ns(core_engine), init_init_ns,
+            _load_units_ns(preparser, core_engine.platform.storage, stats,
+                           bb.preparser),
+            submodules_ns)
 
 
 # --------------------------------------------------------------------------
@@ -587,8 +467,10 @@ class _ServiceWorld:
         self.transaction = transaction
         self.storage_ns = storage.read_time_ns
         self.storage_lock = _Lock(wake_cost_ns=0)
-        self.fork_lock = _Lock(wake_cost_ns=1_000)
+        self.fork_lock = _Lock(FORK_WAKE_COST_NS)
         self.rcu_boosted = rcu_boosted
+        self.rcu_wait_lock = _TicketSpin()
+        self.rcu_boost_mutex = _Lock(MUTEX_WAKE_COST_NS, fifo=True)
         self.paths: set[str] = set(preexisting_paths)
         self.path_gates: dict[str, "_Gate"] = {}
         self.started: dict[str, "_Gate"] = {}
@@ -597,22 +479,6 @@ class _ServiceWorld:
         self.started_at: dict[str, int] = {}
         self.ready_at: dict[str, int] = {}
         self.completion_ns: int | None = None
-        # Mirrors RCUSubsystem's calibrated constants (the keyword
-        # defaults of its constructor: grace, expedited, conventional
-        # CPU, boosted CPU) plus the lock costs its primitives carry.
-        rcu_defaults = RCUSubsystem.__init__.__defaults__
-        self.rcu = {
-            "grace_ns": rcu_defaults[0],
-            "expedited_ns": rcu_defaults[1],
-            "conventional_cpu_ns": rcu_defaults[2],
-            "boosted_cpu_ns": rcu_defaults[3],
-            "boosted_wake_ns": Mutex.__init__.__defaults__[-1],
-        }
-        spin_defaults = SpinLock.__init__.__defaults__
-        self.rcu_wait_lock = _TicketSpin(acquire_cost_ns=spin_defaults[-1],
-                                         spin_slice_ns=rcu_defaults[4])
-        self.rcu_boost_mutex = _Lock(
-            wake_cost_ns=self.rcu["boosted_wake_ns"], fifo=True)
 
     # ----------------------------------------------------------- primitives
 
@@ -634,38 +500,32 @@ class _ServiceWorld:
         duration = self.storage_ns(nbytes, pattern)
         yield from _acquire(self.storage_lock)
         yield ("sleep", duration)
-        yield ("unlock", self.storage_lock)
+        self.machine.release(self.storage_lock)
 
     def synchronize_rcu(self):
-        rcu = self.rcu
         if self.rcu_boosted:
-            yield ("cpu", rcu["boosted_cpu_ns"])
+            yield ("cpu", BOOSTED_OP_CPU_NS)
             yield from _acquire(self.rcu_boost_mutex)
-            yield ("sleep", rcu["expedited_ns"])
-            yield ("unlock", self.rcu_boost_mutex)
+            yield ("sleep", EXPEDITED_GRACE_PERIOD_NS)
+            self.machine.release(self.rcu_boost_mutex)
         else:
-            yield ("cpu", rcu["conventional_cpu_ns"])
+            yield ("cpu", CONVENTIONAL_OP_CPU_NS)
             yield from self.rcu_wait_lock.acquire()
-            yield ("sleep", rcu["grace_ns"])
-            self.rcu_wait_lock.release()
+            yield ("sleep", GRACE_PERIOD_NS)
+            self.rcu_wait_lock.held = False
 
-
-def _mark_started(world: "_ServiceWorld", name: str) -> tuple[str, Any]:
-    world.started_at[name] = world.machine.now
-    return ("fire", world.started[name])
-
-
-def _mark_ready_steps(world: "_ServiceWorld", name: str):
-    if name not in world.ready_at:
-        world.ready_at[name] = world.machine.now
-        yield ("fire", world.ready[name])
-        yield ("fire", world.settled[name])
+    def mark_ready(self, name: str) -> None:
+        if name not in self.ready_at:
+            self.ready_at[name] = self.machine.now
+            self.machine.fire(self.ready[name])
+            self.machine.fire(self.settled[name])
 
 
 def _shepherd(world: "_ServiceWorld", job, edge_filter, faulter):
     """The predictor's replica of ``JobExecutor._shepherd`` + runner."""
     name = job.unit.name
     unit = job.unit
+    machine = world.machine
     for edge in world.transaction.predecessors(name):
         if edge_filter is not None and not edge_filter(edge):
             continue
@@ -675,35 +535,30 @@ def _shepherd(world: "_ServiceWorld", job, edge_filter, faulter):
         if not gate.fired:
             yield ("wait", gate)
 
-    if any(p not in world.paths for p in unit.condition_paths):
-        # Condition skip: the job settles immediately, dependents unblock.
-        world.started_at[name] = world.ready_at[name] = world.machine.now
-        yield ("fire", world.started[name])
-        yield ("fire", world.ready[name])
-        yield ("fire", world.settled[name])
-        return
-
-    if unit.unit_type is UnitType.TARGET:
-        world.started_at[name] = world.ready_at[name] = world.machine.now
-        yield ("fire", world.started[name])
-        yield ("fire", world.ready[name])
-        yield ("fire", world.settled[name])
+    if (any(p not in world.paths for p in unit.condition_paths)
+            or unit.unit_type is UnitType.TARGET):
+        # A condition skip or a target: the job settles at once and its
+        # dependents unblock.
+        world.started_at[name] = machine.now
+        machine.fire(world.started[name])
+        world.mark_ready(name)
         return
 
     cost = unit.cost
     for _ in range(cost.processes):
         yield from _acquire(world.fork_lock)
         yield ("cpu", cost.fork_ns)
-        yield ("unlock", world.fork_lock)
+        machine.release(world.fork_lock)
 
     if cost.exec_bytes:
         yield from world.storage_read(cost.exec_bytes, AccessPattern.RANDOM)
     if not unit.static_build and cost.dynamic_link_ns:
         yield ("cpu", cost.dynamic_link_ns)
 
-    yield _mark_started(world, name)
+    world.started_at[name] = machine.now
+    machine.fire(world.started[name])
     if unit.service_type is ServiceType.SIMPLE:
-        yield from _mark_ready_steps(world, name)
+        world.mark_ready(name)
 
     for path in unit.waits_for_paths:
         if path not in world.paths:
@@ -737,13 +592,11 @@ def _shepherd(world: "_ServiceWorld", job, edge_filter, faulter):
         yield ("sleep", cost.ready_extra_ns)
     for path in unit.provides_paths:
         world.provide(path)
-    yield from _mark_ready_steps(world, name)
+    world.mark_ready(name)
 
 
 def _kmod_worker(world: "_ServiceWorld", boot_modules):
-    """Replica of the bulk external-module loader (priority 60)."""
-    from repro.kernel.modules import SYSCALL_COST_NS, SYSCALLS_PER_LOAD
-
+    """Replica of the bulk external-module loader."""
     loaded: set[str] = set()
     for module in boot_modules:
         if module.name in loaded:
@@ -784,7 +637,7 @@ def _make_faulter(world: "_ServiceWorld", core_engine: CoreEngine):
         driver = path.rsplit("/", 1)[-1]
         call = initcalls.get(driver)  # KernelError on unknown, as in DES
         if call.name not in completed:
-            yield ("cpu", 500_000)  # demand dispatch overhead (usec(500))
+            yield ("cpu", DEMAND_OVERHEAD_NS)
             yield ("cpu", call.cpu_ns)
             if call.hw_settle_ns:
                 yield ("sleep", call.hw_settle_ns)
@@ -808,8 +661,8 @@ def predict(workload: Workload, bb: BBConfig | None = None,
     signature.  ``text_stats`` short-circuits the expensive unit-file
     rendering pass — pass the value of a previous :func:`predict` over
     the *same unit set and* ``static_bb_group`` *flag* (see
-    :func:`registry_text_stats`) when sweeping many configurations of
-    one workload.
+    :func:`~repro.initsys.preparser.registry_text_stats`) when sweeping
+    many configurations of one workload.
 
     Raises:
         AnalysisError: If the workload cannot be predicted (cyclic
@@ -818,37 +671,17 @@ def predict(workload: Workload, bb: BBConfig | None = None,
     bb = bb if bb is not None else BBConfig.none()
     platform = workload.platform_factory()
     cores = cores if cores is not None else platform.cpu_cores
-    storage = platform.storage
-
-    if kernel_config is None and workload.kernel_config_factory is not None:
-        kernel_config = workload.kernel_config_factory()
-
     try:
         registry = workload.fresh_registry()
     except ReproError as exc:
         raise AnalysisError(f"cannot realize workload: {exc}") from exc
-    core_engine = CoreEngine(
-        platform, bb, kernel_config=kernel_config,
-        initcalls=workload.initcalls_factory(),
-        builtin_initcalls=workload.builtin_initcalls_factory())
+    core_engine = _core_engine(workload, platform, bb, kernel_config)
     service_engine = ServiceEngine(registry, workload.completion_units,
                                    bb, manual_group=manual_bb_group)
-
-    # Serial prefix: kernel, manager init, unit loading, sub-modules.
-    kernel_ns = _kernel_stage_ns(core_engine)
-    from repro.initsys.startup_tasks import STARTUP_TASKS, SUBMODULE_TASKS
-
-    init_init_ns = _startup_tasks_ns(STARTUP_TASKS, bb.defer_startup_tasks)
     if text_stats is None:
-        preparser = service_engine.preparser
-        text_stats = registry_text_stats(registry, preparser.parse_base_ns,
-                                         preparser.parse_per_byte_ns)
-    load_units_ns = _load_units_ns(service_engine, storage, text_stats,
-                                   use_preparser=bb.preparser)
-    submodules_ns = 0
-    if not bb.deferred_executor:
-        submodules_ns = sum(compute_wall_ns(task.cpu_ns)
-                            for task in SUBMODULE_TASKS)
+        text_stats = registry_text_stats(registry, service_engine.preparser)
+    prefix = _serial_prefix(core_engine, service_engine.preparser,
+                            text_stats, bb)
 
     # The boot transaction, on the post-install-section registry (static
     # builds were already applied by the ServiceEngine constructor).
@@ -868,9 +701,9 @@ def predict(workload: Workload, bb: BBConfig | None = None,
             f"predictor models unperturbed boots only; units with "
             f"failures_before_success: {flaky}")
 
-    services_start = kernel_ns + init_init_ns + load_units_ns + submodules_ns
+    services_start = sum(prefix)
     machine = _Machine(cores, services_start)
-    world = _ServiceWorld(machine, transaction, storage,
+    world = _ServiceWorld(machine, transaction, platform.storage,
                           rcu_boosted=bb.rcu_booster,
                           preexisting_paths=set(workload.preexisting_paths))
     for job in transaction.jobs.values():
@@ -890,22 +723,23 @@ def predict(workload: Workload, bb: BBConfig | None = None,
     # completion gate before any spawned process runs its first step;
     # the kmod worker was spawned before the shepherds.
     machine.start(_Task(_manager_wait(world, workload.completion_units),
-                        _MANAGER_PRIORITY, "init-manager"))
+                        MANAGER_PRIORITY))
     if boot_modules:
         machine.start(_Task(_kmod_worker(world, boot_modules),
-                            _KMOD_PRIORITY, "kmod-worker"))
+                            KMOD_PRIORITY))
     for job in transaction.jobs.values():
         priority = (priority_fn(job.unit) if priority_fn
-                    else _SERVICE_PRIORITY)
+                    else SERVICE_PRIORITY)
         machine.start(_Task(_shepherd(world, job, edge_filter, faulter),
-                            priority, f"job:{job.unit.name}"))
-    machine.run(services_start + LIVELOCK_HORIZON_NS)
+                            priority))
+    machine.run()
 
     if world.completion_ns is None:
         raise AnalysisError(
             "prediction deadlocked before boot completion (a waited-for "
             "path or gate never fired)")
 
+    kernel_ns, init_init_ns, load_units_ns, submodules_ns = prefix
     return BootPrediction(
         workload=workload.name,
         features=tuple(bb.enabled_features()),
@@ -923,8 +757,7 @@ def predict(workload: Workload, bb: BBConfig | None = None,
     )
 
 
-def predict_job(job: "SimJob",
-                text_stats: RegistryTextStats | None = None) -> BootPrediction:
+def predict_job(job: "SimJob") -> BootPrediction:
     """Predict the boot a declarative :class:`~repro.runner.jobs.SimJob`
     describes (``boot`` kind, no fault plan).
 
@@ -944,8 +777,7 @@ def predict_job(job: "SimJob",
                                     **dict(job.workload_kwargs))
     return predict(workload, job.bb, cores=job.cores,
                    kernel_config=job.kernel_config,
-                   manual_bb_group=job.manual_bb_group,
-                   text_stats=text_stats)
+                   manual_bb_group=job.manual_bb_group)
 
 # --------------------------------------------------------------------------
 # Design-space sweeps.
@@ -986,7 +818,7 @@ class SweepPredictor:
     def __init__(self, workload_factory: Callable[[], Workload]) -> None:
         self._factory = workload_factory
         self._workload: Workload | None = None
-        self._stats: dict[bool, tuple[ServiceEngine, RegistryTextStats]] = {}
+        self._stats: dict[bool, tuple[PreParser, RegistryTextStats]] = {}
         self._reference: dict[tuple, BootPrediction] = {}
         self._prefix: dict[tuple, tuple[int, int, int, int]] = {}
         self.machine_runs = 0
@@ -999,8 +831,7 @@ class SweepPredictor:
             self._workload = self._factory()
         return self._workload
 
-    def _stats_for(self, static: bool) -> tuple[ServiceEngine,
-                                                RegistryTextStats]:
+    def _stats_for(self, static: bool) -> tuple[PreParser, RegistryTextStats]:
         entry = self._stats.get(static)
         if entry is None:
             wl = self._wl()
@@ -1010,11 +841,10 @@ class SweepPredictor:
             except ReproError as exc:
                 raise AnalysisError(
                     f"cannot realize workload: {exc}") from exc
-            engine = ServiceEngine(registry, wl.completion_units, bb)
-            preparser = engine.preparser
-            entry = (engine,
-                     registry_text_stats(registry, preparser.parse_base_ns,
-                                         preparser.parse_per_byte_ns))
+            # The engine applies static builds, which change the unit text.
+            preparser = ServiceEngine(registry, wl.completion_units,
+                                      bb).preparser
+            entry = (preparser, registry_text_stats(registry, preparser))
             self._stats[static] = entry
         return entry
 
@@ -1027,28 +857,9 @@ class SweepPredictor:
         parts = self._prefix.get(key)
         if parts is None:
             wl = self._wl()
-            platform = wl.platform_factory()
-            kernel_config = (wl.kernel_config_factory()
-                             if wl.kernel_config_factory is not None
-                             else None)
-            core_engine = CoreEngine(
-                platform, bb, kernel_config=kernel_config,
-                initcalls=wl.initcalls_factory(),
-                builtin_initcalls=wl.builtin_initcalls_factory())
-            from repro.initsys.startup_tasks import (STARTUP_TASKS,
-                                                     SUBMODULE_TASKS)
-
-            engine, stats = self._stats_for(bb.static_bb_group)
-            submodules_ns = 0
-            if not bb.deferred_executor:
-                submodules_ns = sum(compute_wall_ns(task.cpu_ns)
-                                    for task in SUBMODULE_TASKS)
-            parts = (_kernel_stage_ns(core_engine),
-                     _startup_tasks_ns(STARTUP_TASKS,
-                                       bb.defer_startup_tasks),
-                     _load_units_ns(engine, platform.storage, stats,
-                                    use_preparser=bb.preparser),
-                     submodules_ns)
+            core_engine = _core_engine(wl, wl.platform_factory(), bb, None)
+            parts = _serial_prefix(core_engine,
+                                   *self._stats_for(bb.static_bb_group), bb)
             self._prefix[key] = parts
         return parts
 
@@ -1073,11 +884,9 @@ class SweepPredictor:
             self.machine_runs += 1
             return ref
         self.fast_hits += 1
-        kernel_ns, init_init_ns, load_units_ns, submodules_ns = \
-            self._prefix_parts(bb)
-        shift = (kernel_ns + init_init_ns + load_units_ns + submodules_ns) \
-            - (ref.kernel_ns + ref.init_init_ns + ref.load_units_ns
-               + ref.submodules_ns)
+        parts = self._prefix_parts(bb)
+        shift = sum(parts) - (ref.kernel_ns + ref.init_init_ns
+                              + ref.load_units_ns + ref.submodules_ns)
         features = tuple(bb.enabled_features())
         if shift == 0 and features == ref.features:
             return ref
@@ -1086,10 +895,10 @@ class SweepPredictor:
             features=features,
             cores=cores,
             boot_complete_ns=ref.boot_complete_ns + shift,
-            kernel_ns=kernel_ns,
-            init_init_ns=init_init_ns,
-            load_units_ns=load_units_ns,
-            submodules_ns=submodules_ns,
+            kernel_ns=parts[0],
+            init_init_ns=parts[1],
+            load_units_ns=parts[2],
+            submodules_ns=parts[3],
             services_ns=ref.services_ns,
             unit_started_ns={name: t + shift
                              for name, t in ref.unit_started_ns.items()},

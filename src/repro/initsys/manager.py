@@ -42,6 +42,12 @@ if TYPE_CHECKING:
 #: Scheduling priority of the manager process and its in-line sub-modules.
 MANAGER_PRIORITY = 50
 
+#: Scheduling priority of the bulk external-module (kmod) worker.
+KMOD_PRIORITY = 60
+
+#: Wake cost of a task woken with the manager's fork lock.
+FORK_WAKE_COST_NS = 1_000
+
 #: Priority of post-completion deferred work (lower than any boot task).
 DEFERRED_PRIORITY = 300
 
@@ -128,7 +134,7 @@ class InitManager:
         # the init scheme itself — one of the paper's "bottlenecks in the
         # infrastructure").
         self.fork_lock = PriorityMutex(engine, name="manager.fork",
-                                       wake_cost_ns=1_000)
+                                       wake_cost_ns=FORK_WAKE_COST_NS)
         self._edge_filter = edge_filter
         self._priority_fn = priority_fn
         self._on_boot_complete = on_boot_complete
@@ -263,7 +269,8 @@ class InitManager:
                     self.paths.provide(f"/dev/{module.name}")
             self._engine.tracer.end(span)
 
-        return self._engine.spawn(worker(), name="kmod-worker", priority=60)
+        return self._engine.spawn(worker(), name="kmod-worker",
+                                  priority=KMOD_PRIORITY)
 
     def _schedule_late_paths(self) -> None:
         """Arrange for fault-delayed device paths to appear on schedule.

@@ -13,6 +13,7 @@ Tizen TV workload the cache saves ~150 ms of "loading services" and
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -33,6 +34,20 @@ def dependency_edge_count(registry: UnitRegistry) -> int:
                + len(u.conflicts) for u in registry)
 
 
+def _unit_texts(registry: UnitRegistry) -> list[tuple[str, bytes]]:
+    """Every unit's name and rendered unit-file text, in name order."""
+    return [(name, registry.dump_unit_text(name).encode())
+            for name in sorted(registry.names)]
+
+
+def _fingerprint(texts: list[tuple[str, bytes]]) -> str:
+    digest = hashlib.sha256()
+    for name, text in texts:
+        digest.update(name.encode())
+        digest.update(text)
+    return digest.hexdigest()
+
+
 def registry_fingerprint(registry: UnitRegistry) -> str:
     """Stable content hash of every unit file in the registry.
 
@@ -41,13 +56,37 @@ def registry_fingerprint(registry: UnitRegistry) -> str:
     description at any time".  A cache built before such a change must be
     detected as stale at boot.
     """
-    import hashlib
+    return _fingerprint(_unit_texts(registry))
 
-    digest = hashlib.sha256()
-    for name in sorted(registry.names):
-        digest.update(name.encode())
-        digest.update(registry.dump_unit_text(name).encode())
-    return digest.hexdigest()
+
+@dataclass(frozen=True, slots=True)
+class RegistryTextStats:
+    """What the unit files of one registry weigh, from one rendering pass.
+
+    The text load, the cache build and the closed-form predictor
+    (:mod:`repro.analysis.predict`) all charge from these figures.
+    """
+
+    unit_count: int
+    total_text_bytes: int
+    parse_text_ns: int  # sum of per-unit parse costs (base + per-byte)
+    edge_count: int
+    fingerprint: str
+
+
+def registry_text_stats(registry: UnitRegistry,
+                        preparser: "PreParser") -> RegistryTextStats:
+    """Render every unit of ``registry`` once and total its text costs
+    under ``preparser``'s cost model."""
+    texts = _unit_texts(registry)
+    base, per_byte = preparser.parse_base_ns, preparser.parse_per_byte_ns
+    return RegistryTextStats(
+        unit_count=len(texts),
+        total_text_bytes=sum(len(text) for _, text in texts),
+        parse_text_ns=sum(base + round(per_byte * len(text))
+                          for _, text in texts),
+        edge_count=dependency_edge_count(registry),
+        fingerprint=_fingerprint(texts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,29 +153,26 @@ class PreParser:
 
     def build_cache(self, registry: UnitRegistry) -> PreParsedCache:
         """Produce the build-time cache for a unit set (costs nothing at boot)."""
-        text_bytes = registry.total_text_bytes()
-        return PreParsedCache(
-            unit_count=len(registry),
-            edge_count=dependency_edge_count(registry),
-            blob_bytes=max(1, round(text_bytes * self.cache_compression)),
-            fingerprint=registry_fingerprint(registry),
-        )
+        stats = registry_text_stats(registry, self)
+        return PreParsedCache(unit_count=stats.unit_count,
+                              edge_count=stats.edge_count,
+                              blob_bytes=self.blob_bytes(stats),
+                              fingerprint=stats.fingerprint)
 
     # ----------------------------------------------------- cost estimation
 
-    def text_loading_cpu_ns(self, registry: UnitRegistry) -> int:
-        """CPU portion of loading every unit file from text."""
-        per_unit = self.file_op_ns * self.file_ops_per_unit
-        return per_unit * len(registry)
+    def blob_bytes(self, stats: RegistryTextStats) -> int:
+        """On-disk size of the cache built from a unit set."""
+        return max(1, round(stats.total_text_bytes * self.cache_compression))
 
-    def text_parsing_cpu_ns(self, registry: UnitRegistry) -> int:
+    def text_loading_cpu_ns(self, stats: RegistryTextStats) -> int:
+        """CPU portion of loading every unit file from text."""
+        return self.file_op_ns * self.file_ops_per_unit * stats.unit_count
+
+    def text_parsing_cpu_ns(self, stats: RegistryTextStats) -> int:
         """CPU portion of parsing text and resolving the dependency graph."""
-        parse = sum(self.parse_base_ns
-                    + round(self.parse_per_byte_ns
-                            * len(registry.dump_unit_text(u.name).encode()))
-                    for u in registry)
-        resolve = self.resolve_per_edge_ns * dependency_edge_count(registry)
-        return parse + resolve
+        return (stats.parse_text_ns
+                + self.resolve_per_edge_ns * stats.edge_count)
 
     # --------------------------------------------------------- boot loading
 
@@ -148,14 +184,14 @@ class PreParser:
         ``init.load-units`` (file operations + storage reads) and
         ``init.parse-deps`` (text parse + dependency resolution).
         """
+        stats = registry_text_stats(registry, self)
         load_span = engine.tracer.begin("init.load-units", "init-task")
-        total_bytes = registry.total_text_bytes()
-        yield Compute(self.text_loading_cpu_ns(registry))
-        yield from storage.read(total_bytes, AccessPattern.RANDOM)
+        yield Compute(self.text_loading_cpu_ns(stats))
+        yield from storage.read(stats.total_text_bytes, AccessPattern.RANDOM)
         engine.tracer.end(load_span)
 
         parse_span = engine.tracer.begin("init.parse-deps", "init-task")
-        yield Compute(self.text_parsing_cpu_ns(registry))
+        yield Compute(self.text_parsing_cpu_ns(stats))
         engine.tracer.end(parse_span)
 
     def load_from_cache(self, engine: "Simulator", cache: PreParsedCache,

@@ -151,7 +151,3 @@ class UnitRegistry:
             if bad:
                 missing[unit.name] = bad
         return missing
-
-    def total_text_bytes(self) -> int:
-        """Total serialized size of every unit file (Pre-parser input size)."""
-        return sum(len(self.dump_unit_text(name).encode()) for name in self.names)

@@ -23,6 +23,10 @@ if TYPE_CHECKING:
     from repro.sim.engine import Simulator
     from repro.sim.process import ProcessGenerator
 
+#: The on-demand manager's dispatch cost before a deferred initcall runs,
+#: kept small because the code is built in (no module-load syscalls).
+DEMAND_OVERHEAD_NS = usec(500)
+
 
 class InitcallLevel(enum.IntEnum):
     """Linux initcall levels, executed in ascending order."""
@@ -123,12 +127,10 @@ class InitcallRegistry:
             yield from call.run(engine)
             self.completed.add(call.name)
 
-    def load_on_demand(self, engine: "Simulator", name: str,
-                       demand_overhead_ns: int = usec(500)) -> "ProcessGenerator":
-        """Generator: run a deferred initcall on first use (idempotent).
-
-        ``demand_overhead_ns`` is the on-demand manager's dispatch cost —
-        kept small because the code is built in (no module-load syscalls).
+    def load_on_demand(self, engine: "Simulator",
+                       name: str) -> "ProcessGenerator":
+        """Generator: run a deferred initcall on first use (idempotent),
+        after the on-demand manager's :data:`DEMAND_OVERHEAD_NS`.
 
         Raises:
             KernelError: If ``name`` is unknown.
@@ -136,7 +138,7 @@ class InitcallRegistry:
         call = self.get(name)
         if call.name in self.completed:
             return
-        yield Compute(demand_overhead_ns)
+        yield Compute(DEMAND_OVERHEAD_NS)
         yield from call.run(engine)
         self.completed.add(call.name)
         self.deferred.discard(call.name)

@@ -35,6 +35,13 @@ if TYPE_CHECKING:
     from repro.sim.engine import Simulator
     from repro.sim.process import ProcessGenerator
 
+#: The calibrated defaults of :class:`RCUSubsystem` (see its arguments).
+GRACE_PERIOD_NS = msec(12)
+EXPEDITED_GRACE_PERIOD_NS = msec(1.5)
+CONVENTIONAL_OP_CPU_NS = usec(30)
+BOOSTED_OP_CPU_NS = usec(120)
+SPIN_SLICE_NS = 500_000
+
 
 class RCUMode(enum.Enum):
     """Active ``synchronize_rcu`` implementation."""
@@ -63,11 +70,11 @@ class RCUSubsystem:
     SYSFS_PATH = "/sys/kernel/rcu_boost"
 
     def __init__(self, engine: "Simulator",
-                 grace_period_ns: int = msec(12),
-                 expedited_grace_period_ns: int = msec(1.5),
-                 conventional_op_cpu_ns: int = usec(30),
-                 boosted_op_cpu_ns: int = usec(120),
-                 spin_slice_ns: int = 500_000,
+                 grace_period_ns: int = GRACE_PERIOD_NS,
+                 expedited_grace_period_ns: int = EXPEDITED_GRACE_PERIOD_NS,
+                 conventional_op_cpu_ns: int = CONVENTIONAL_OP_CPU_NS,
+                 boosted_op_cpu_ns: int = BOOSTED_OP_CPU_NS,
+                 spin_slice_ns: int = SPIN_SLICE_NS,
                  reader_tracking: bool = False):
         if grace_period_ns <= 0 or expedited_grace_period_ns <= 0:
             raise KernelError("grace periods must be positive")

@@ -26,6 +26,13 @@ if TYPE_CHECKING:
     from repro.sim.engine import Simulator
     from repro.sim.process import Process, ProcessGenerator
 
+#: Default wake (context-switch) cost paid by a woken :class:`Mutex` or
+#: :class:`PriorityMutex` waiter.
+MUTEX_WAKE_COST_NS = 3_000
+
+#: Default CPU cost of taking a :class:`SpinLock` ticket.
+SPIN_ACQUIRE_COST_NS = 200
+
 
 class Completion:
     """A one-shot waitable event carrying an optional value.
@@ -83,7 +90,7 @@ class Mutex:
     """
 
     def __init__(self, engine: "Simulator", name: str = "mutex",
-                 wake_cost_ns: int = 3_000):
+                 wake_cost_ns: int = MUTEX_WAKE_COST_NS):
         self._engine = engine
         self.name = name
         self.wake_cost_ns = wake_cost_ns
@@ -156,7 +163,7 @@ class PriorityMutex:
     """
 
     def __init__(self, engine: "Simulator", name: str = "priority-mutex",
-                 wake_cost_ns: int = 3_000):
+                 wake_cost_ns: int = MUTEX_WAKE_COST_NS):
         self._engine = engine
         self.name = name
         self.wake_cost_ns = wake_cost_ns
@@ -238,7 +245,8 @@ class SpinLock:
     """
 
     def __init__(self, engine: "Simulator", name: str = "spinlock",
-                 spin_slice_ns: int = 500_000, acquire_cost_ns: int = 200):
+                 spin_slice_ns: int = 500_000,
+                 acquire_cost_ns: int = SPIN_ACQUIRE_COST_NS):
         if spin_slice_ns <= 0:
             raise SimulationError("spin_slice_ns must be positive")
         self._engine = engine

@@ -1,5 +1,7 @@
 """Tests for the closed-form boot-time predictor."""
 
+import hashlib
+
 import pytest
 
 from repro.analysis.predict import (
@@ -8,13 +10,13 @@ from repro.analysis.predict import (
     compute_wall_ns,
     predict,
     predict_job,
-    registry_text_stats,
 )
 from repro.core.bb import BootSimulation
 from repro.core.config import BBConfig
 from repro.errors import AnalysisError
 from repro.faults.plan import FaultPlan
 from repro.graph.critical_path import critical_path
+from repro.initsys.preparser import PreParser, registry_text_stats
 from repro.initsys.units import SimCost, Unit
 from repro.quantities import msec
 from repro.runner.jobs import SimJob
@@ -85,11 +87,7 @@ def test_text_stats_cache_gives_identical_prediction():
     wl = opensource_tv_workload()
     baseline = predict(wl, BBConfig.none(), cores=4)
     registry = opensource_tv_workload().fresh_registry()
-    from repro.initsys.preparser import PreParser
-
-    pp = PreParser()
-    stats = registry_text_stats(registry, pp.parse_base_ns,
-                                pp.parse_per_byte_ns)
+    stats = registry_text_stats(registry, PreParser())
     cached = predict(opensource_tv_workload(), BBConfig.none(), cores=4,
                      text_stats=stats)
     assert cached.boot_complete_ns == baseline.boot_complete_ns
@@ -184,6 +182,33 @@ class TestSweepPredictor:
         four = sweep.predict(BBConfig.full(), cores=4)
         assert sweep.machine_runs == 2
         assert two.boot_complete_ns >= four.boot_complete_ns
+
+
+#: sha256 over every cell of ``design_space.sweep_jobs()`` (5 workloads x
+#: 64 feature combinations x 2 core counts) of ``(boot_complete_ns,
+#: sorted unit_started_ns, sorted unit_ready_ns)``, as SweepPredictor
+#: predicts them.  Any change to the predictor that moves one nanosecond
+#: of one unit in one cell changes it.
+DESIGN_SPACE_DIGEST = \
+    "98ce8c133841a4296cb5c25991aea8f82b5f1307ed9bab2d3a6e53d465b0d738"
+
+
+def test_every_design_space_prediction_is_pinned():
+    from repro.analysis.predict import SweepPredictor
+    from repro.experiments.design_space import sweep_jobs
+
+    digest = hashlib.sha256()
+    cells = 0
+    for _, jobs in sweep_jobs():
+        sweep = SweepPredictor(jobs[0].workload_factory)
+        for job in jobs:
+            pred = sweep.predict(job.bb, job.cores)
+            digest.update(repr((pred.boot_complete_ns,
+                                sorted(pred.unit_started_ns.items()),
+                                sorted(pred.unit_ready_ns.items()))).encode())
+            cells += 1
+    assert cells == 640
+    assert digest.hexdigest() == DESIGN_SPACE_DIGEST
 
 
 def test_deep_chain_predicts_without_recursion_error():

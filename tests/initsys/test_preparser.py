@@ -4,7 +4,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hw.presets import emmc_ue48h6200
-from repro.initsys.preparser import PreParsedCache, PreParser, dependency_edge_count
+from repro.initsys.preparser import (PreParsedCache, PreParser,
+                                     dependency_edge_count,
+                                     registry_fingerprint,
+                                     registry_text_stats)
 from repro.initsys.registry import UnitRegistry
 from repro.initsys.units import Unit
 from repro.sim import Simulator
@@ -33,8 +36,10 @@ def test_cache_is_smaller_than_text():
     preparser = PreParser()
     cache = preparser.build_cache(registry)
     assert cache.unit_count == len(registry)
-    assert cache.blob_bytes < registry.total_text_bytes()
+    assert cache.blob_bytes < registry_text_stats(
+        registry, preparser).total_text_bytes
     assert cache.edge_count == dependency_edge_count(registry)
+    assert cache.fingerprint == registry_fingerprint(registry)
 
 
 def load_time(registry, cached):
@@ -70,13 +75,27 @@ def test_text_load_records_the_two_fig6d_phases():
 
 
 def test_costs_scale_with_unit_count():
-    small = make_registry(units=20)
-    large = make_registry(units=80)
     preparser = PreParser()
+    small = registry_text_stats(make_registry(units=20), preparser)
+    large = registry_text_stats(make_registry(units=80), preparser)
     assert (preparser.text_loading_cpu_ns(large)
             > 3 * preparser.text_loading_cpu_ns(small))
     assert (preparser.text_parsing_cpu_ns(large)
             > 3 * preparser.text_parsing_cpu_ns(small))
+
+
+def test_text_stats_charge_each_unit_its_parse_cost():
+    registry = make_registry(units=5)
+    preparser = PreParser(parse_base_ns=1_000, parse_per_byte_ns=0.5)
+    stats = registry_text_stats(registry, preparser)
+    sizes = [len(registry.dump_unit_text(name).encode())
+             for name in registry.names]
+    assert stats.unit_count == 5
+    assert stats.total_text_bytes == sum(sizes)
+    assert stats.parse_text_ns == sum(1_000 + round(0.5 * n) for n in sizes)
+    assert preparser.text_parsing_cpu_ns(stats) == (
+        stats.parse_text_ns
+        + preparser.resolve_per_edge_ns * dependency_edge_count(registry))
 
 
 def test_invalid_configuration_rejected():

@@ -95,7 +95,13 @@ def test_dangling_references_reported():
 
 
 def test_total_text_bytes_positive():
-    assert make_registry().total_text_bytes() > 0
+    from repro.initsys.preparser import PreParser, registry_text_stats
+
+    registry = make_registry()
+    stats = registry_text_stats(registry, PreParser())
+    assert stats.total_text_bytes == sum(
+        len(registry.dump_unit_text(name).encode()) for name in registry.names)
+    assert stats.total_text_bytes > 0
 
 
 def test_load_directory(tmp_path):

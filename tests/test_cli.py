@@ -218,6 +218,8 @@ def test_predict_livelock_configuration_exits_nonzero(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "livelock" in captured.err
+    # The horizon is the services phase's, not the absolute clock's.
+    assert "after 120 simulated seconds of services phase" in captured.err
 
 
 def test_experiment_design_space_smoke(capsys):
