@@ -1,6 +1,6 @@
 # Convenience targets for the BB reproduction.
 
-.PHONY: install test test-fast coverage verify recover predict bench bench-smoke perfbench-test boot-reference sweep-reference fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
+.PHONY: install test test-fast coverage verify recover predict predicted bench bench-smoke perfbench-test boot-reference sweep-reference fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
 
 PYTEST = PYTHONPATH=src python -m pytest
 
@@ -35,6 +35,13 @@ recover:
 predict:
 	PYTHONPATH=src python -m repro predict
 	PYTHONPATH=src python -m repro experiment design-space --smoke
+
+# Predictor == DES on every unperturbed verify scenario at 1, 2, 3, 4
+# and 6 cores (the full profile of the `predicted` verify group; the
+# smoke profile in `make verify` runs 1, 2 and 4 only), plus the sweep
+# cache's bit identity with direct predict().
+predicted:
+	PYTHONPATH=src python -m repro verify --only predicted
 
 # The paper-artifact benchmarks (needs pytest-benchmark): each asserts
 # its paper number, e.g. Fig. 1's 8.1 s boot within 5%.

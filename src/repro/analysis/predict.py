@@ -135,11 +135,12 @@ class _Lock:
 class _Task:
     """One schedulable activity (a shepherd, the kmod worker, ...)."""
 
-    __slots__ = ("gen", "priority")
+    __slots__ = ("gen", "priority", "spin")
 
     def __init__(self, gen: Any, priority: int) -> None:
         self.gen = gen
         self.priority = priority
+        self.spin: tuple["_TicketSpin", int] | None = None
 
 
 class _Machine:
@@ -151,6 +152,9 @@ class _Machine:
         ("sleep", ns)    timer wait, no core
         ("wait", gate)   park until the gate fires (caller checks .fired)
         ("lock", lock)   acquire; send-value True means it was contended
+        ("spin", (spinlock, ticket))
+                         burn SPIN_SLICE_NS slices until the ticket may
+                         take the spinlock (``Spin``); resumes once
 
     and call :meth:`fire` and :meth:`release` directly, as DES processes
     call ``Completion.fire`` and ``PriorityMutex.release``: the woken
@@ -159,9 +163,11 @@ class _Machine:
     ``(priority, seq)``, one dispatch cost per slice of at most one
     quantum, and at every quantum boundary the task goes back through the
     run queue, so a higher-priority task takes the core within one
-    quantum.  Cores are granted eagerly inside synchronous wake cascades,
-    freed cores are visible to the cascade that freed them, and ties
-    break FIFO by enqueue order.
+    quantum.  A spinner whose ticket must still wait when its slice ends
+    goes back the same way, with one more spin slice to run.  Cores are
+    granted eagerly inside synchronous wake cascades, freed cores are
+    visible to the cascade that freed them, and ties break FIFO by
+    enqueue order.
     """
 
     def __init__(self, cores: int, start_ns: int) -> None:
@@ -184,6 +190,8 @@ class _Machine:
 
     def run(self) -> None:
         pop = heapq.heappop
+        push = heapq.heappush
+        pushpop = heapq.heappushpop
         events = self._events
         run = self._run
         while events and not self.stopped:
@@ -196,25 +204,48 @@ class _Machine:
                     f"conventional-RCU spinners starved by priority-boosted "
                     f"work on a saturated CPU)")
             self.now = time_ns
-            if remaining_ns > 0:
-                # Quantum boundary (CPU._slice_done): the task goes back
-                # through the run queue, and the freed core goes to the
-                # queue's head — the task itself when nothing queued is as
-                # urgent.  Exact because the freed core is the only idle
-                # one or nothing is queued.
-                _, _, task, remaining_ns = heapq.heappushpop(
-                    run, (task.priority, self._rseq, task, remaining_ns))
-                self._rseq += 1
-                self._start_slice(task, remaining_ns)
-            elif remaining_ns == 0:
-                # Compute finished: free the core before resuming so the
-                # wake cascade can immediately claim it (DES ordering).
-                self.idle += 1
+            if remaining_ns == 0:
+                spin = task.spin
+                if spin is not None:
+                    lock, ticket = spin
+                    if lock.held or next(iter(lock.tickets)) != ticket:
+                        # The ticket must still wait: one more spin slice,
+                        # rotated as at a quantum boundary.  With the core
+                        # just freed, "start it if nothing is queued, else
+                        # enqueue and dispatch" is that same heappushpop.
+                        remaining_ns = SPIN_SLICE_NS
+                    else:
+                        task.spin = None
+                if remaining_ns == 0:
+                    # Compute finished: free the core before resuming so
+                    # the wake cascade can immediately claim it (DES
+                    # ordering).
+                    self.idle += 1
+                    self._drive(task, None)
+                    if run and self.idle > 0:
+                        self._dispatch()
+                    continue
+            elif remaining_ns < 0:
                 self._drive(task, None)
-                if run and self.idle > 0:
-                    self._dispatch()
+                continue
+            # Quantum boundary (CPU._slice_done, with _start_slice
+            # inlined): the task goes back through the run queue, and the
+            # freed core goes to the queue's head — the task itself when
+            # nothing queued is as urgent.  Exact because the freed core
+            # is the only idle one or nothing is queued.
+            rseq = self._rseq
+            self._rseq = rseq + 1
+            _, _, task, remaining_ns = pushpop(
+                run, (task.priority, rseq, task, remaining_ns))
+            eseq = self._eseq
+            self._eseq = eseq + 1
+            if remaining_ns > DEFAULT_QUANTUM_NS:
+                push(events, (time_ns + DEFAULT_SWITCH_COST_NS
+                              + DEFAULT_QUANTUM_NS, eseq, task,
+                              remaining_ns - DEFAULT_QUANTUM_NS))
             else:
-                self._drive(task, None)
+                push(events, (time_ns + DEFAULT_SWITCH_COST_NS
+                              + remaining_ns, eseq, task, 0))
 
     def _schedule(self, delay_ns: int, task: "_Task",
                   remaining_ns: int) -> None:
@@ -228,8 +259,13 @@ class _Machine:
             while True:
                 op, operand = send(value)
                 value = None
-                if op == "cpu":
-                    if operand <= 0:
+                if op == "cpu" or op == "spin":
+                    if op == "spin":
+                        # Retried by run() until the ticket may take the
+                        # lock.
+                        task.spin = operand
+                        operand = SPIN_SLICE_NS
+                    elif operand <= 0:
                         continue  # Compute(0) resumes synchronously
                     if self.idle > 0 and not self._run:
                         self.idle -= 1
@@ -324,7 +360,8 @@ class _TicketSpin:
     Spinners burn real core time in ``SPIN_SLICE_NS`` chunks and observe
     a release only when their current slice completes — both effects the
     RCU Booster exists to remove, so they must be priced faithfully.  The
-    lowest outstanding ticket is the dict's first key, as in the DES.
+    lowest outstanding ticket is the dict's first key, as in the DES, and
+    the machine re-tests it after every slice (the ``"spin"`` instruction).
     """
 
     __slots__ = ("held", "next_ticket", "tickets")
@@ -340,8 +377,8 @@ class _TicketSpin:
         self.next_ticket += 1
         tickets = self.tickets
         tickets[ticket] = None
-        while next(iter(tickets)) != ticket or self.held:
-            yield ("cpu", SPIN_SLICE_NS)
+        if next(iter(tickets)) != ticket or self.held:
+            yield ("spin", (self, ticket))
         del tickets[ticket]
         self.held = True
 

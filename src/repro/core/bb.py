@@ -227,7 +227,6 @@ class BootSimulation:
               service_engine: ServiceEngine) -> "ProcessGenerator":
         yield from core_engine.run_kernel(sim)
         bootup_engine.on_init_start(sim)
-        cache = service_engine.build_cache() if self.bb.preparser else None
         manager_config = bootup_engine.build_manager_config(
             self.workload.goal, self.workload.completion_units)
         manager_config.restart_seed = self.restart_seed
@@ -236,7 +235,6 @@ class BootSimulation:
             sim, registry, self.platform.storage, core_engine.rcu,
             manager_config,
             preparser=service_engine.preparser,
-            cache=cache,
             boot_modules=self.workload.boot_modules_factory(),
             preexisting_paths=set(self.workload.preexisting_paths),
             edge_filter=service_engine.edge_filter,

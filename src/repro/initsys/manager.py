@@ -230,8 +230,10 @@ class InitManager:
         if self.config.use_preparser:
             cache = self._cache
             if cache is None:
+                # Built from the registry about to be loaded, so fresh by
+                # construction: only a cache handed in is checked.
                 cache = self.preparser.build_cache(self.registry)
-            if not cache.is_fresh(self.registry):
+            elif not cache.is_fresh(self.registry):
                 # §2.5 dynamicity: a service was installed or updated after
                 # the cache was built — fall back to the full text parse so
                 # the boot stays correct (and pays the conventional cost).

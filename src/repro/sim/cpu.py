@@ -22,6 +22,8 @@ Quantum boundaries are nearly every event of a boot, so
 of the preempted process against the run-queue head picks who gets the
 freed core (the process itself, with the heap untouched, when nothing
 queued is as urgent), and one ``events.push`` schedules that slice's end.
+A ticket spinner's retry (:class:`~repro.sim.process.Spin`) is such a
+rotation too, with one more spin slice as the work left.
 :meth:`CPU.submit` places new work the same way.  Either is exactly a
 heap push followed by a dispatch loop, which :meth:`CPU._dispatch` still
 runs whenever a core stays idle with work queued (an interrupted process
@@ -179,8 +181,8 @@ class CPU:
     def _slice_done(self, process: "Process", remaining_ns: int,
                     slice_ns: int) -> None:
         """End a slice: resume a finished (or interrupted) process, or
-        requeue a preempted one and give the freed core to the best queued
-        entry.
+        requeue a preempted one (or a spinner whose ticket must still wait)
+        and give the freed core to the best queued entry.
 
         The core just freed is the only idle one, or nothing is queued, so
         a requeue dispatches exactly one entry: the run-queue head after
@@ -195,6 +197,21 @@ class CPU:
         remaining_ns -= slice_ns
         engine = self._engine
         queue = self._run_queue
+        if (not remaining_ns and process._spin is not None
+                and process._pending_interrupt is None):
+            # A spin attempt ended (see Spin).  While the ticket must still
+            # wait, the retry is one more attempt, rotated here as at a
+            # quantum boundary instead of by resuming the generator.
+            spin = process._spin
+            lock = spin.lock
+            lock.spin_time_ns += lock.spin_slice_ns
+            if lock._held or next(iter(lock._tickets)) != spin.ticket:
+                remaining_ns = lock.spin_slice_ns
+                monitor = engine.monitor
+                if monitor is not None:
+                    # A retry is a resubmitted compute: it reports once
+                    # for the resubmission and once for the slice end.
+                    monitor.on_cpu(self)
         if remaining_ns > 0 and process._pending_interrupt is None:
             # Quantum boundary.  Re-read the priority: BB Manager may have
             # boosted the process while it was running, and it must take

@@ -21,8 +21,9 @@ The run loop makes one call into the queue per event (``events.pop()``)
 and advances the clock inline.  A process is stepped by one frame,
 :meth:`Simulator._resume`: it sends into the generator, loops over
 zero-length computations, and routes the yielded request by its exact type
-(``Compute`` to :meth:`~repro.sim.cpu.CPU.submit`, ``Timeout`` and
-``Wait`` to the event queue or the completion's waiters).
+(``Compute`` and ``Spin`` to :meth:`~repro.sim.cpu.CPU.submit`,
+``Timeout`` and ``Wait`` to the event queue or the completion's
+waiters).
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from repro.sim.clock import SimClock
 from repro.sim.cpu import CPU, DEFAULT_QUANTUM_NS, DEFAULT_SWITCH_COST_NS
 from repro.sim.events import EventQueue, ScheduledEvent
 from repro.sim.process import (DEFAULT_PRIORITY, Compute, Interrupted, Process,
-                               ProcessGenerator, ProcessState, Timeout, Wait)
+                               ProcessGenerator, ProcessState, Spin, Timeout,
+                               Wait)
 from repro.sim.sync import Completion
 from repro.sim.tracing import Tracer
 
@@ -209,13 +211,19 @@ class Simulator:
         resumed at once by the next pass of the loop rather than through
         the CPU: a chain of them costs no stack depth.  Requests are routed
         by exact type; the vocabulary is :class:`Compute`,
-        :class:`Timeout` and :class:`Wait`.
+        :class:`Timeout`, :class:`Wait` and :class:`Spin`.
+
+        Any resume ends a wait, so the blocking state is cleared first: a
+        spinner is resumed when its ticket may take the lock, or to
+        deliver an interrupt that can reach it wherever the CPU holds it
+        (mid-slice, or queued and popped by a dispatch or a rotation).
         """
         state = process.state
         if state is _FINISHED or state is _FAILED:
             raise SimulationError(f"resume of finished process {process.name!r}")
         process._timeout_event = None
         process._waiting_on = None
+        process._spin = None
         caller = self.current_process
         self.current_process = process
         gen = process._gen
@@ -266,6 +274,10 @@ class Simulator:
                         completion._waiters.append(process)
                         process.state = _WAITING
                         process._waiting_on = completion
+                    return
+                elif kind is Spin:
+                    process._spin = request
+                    self.cpu.submit(process, request.lock.spin_slice_ns)
                     return
                 else:
                     raise SimulationError(f"process {process.name!r} yielded "

@@ -8,7 +8,10 @@ launch) is written as a Python generator that ``yield``\\ s request objects:
 * :class:`Compute` — consume CPU time; the process occupies one core of the
   :class:`~repro.sim.cpu.CPU` while it runs and competes with every other
   runnable process through the priority run queue,
-* :class:`Wait` — block until a :class:`~repro.sim.sync.Completion` fires.
+* :class:`Wait` — block until a :class:`~repro.sim.sync.Completion` fires,
+* :class:`Spin` — burn CPU slices on a contended ticket lock until the
+  ticket may take it (yielded by :meth:`~repro.sim.sync.SpinLock.acquire`
+  only).
 
 Generators compose with ``yield from``, so models build freely on each
 other (a service start ``yield from``\\ s a storage read, which internally
@@ -25,7 +28,7 @@ from repro.errors import SimulationError
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
-    from repro.sim.sync import Completion
+    from repro.sim.sync import Completion, SpinLock
 
 #: Type alias for the generators the engine can run.
 ProcessGenerator = Generator[Any, Any, Any]
@@ -66,6 +69,22 @@ class Wait:
     """Block until ``completion`` fires; resumes with the fired value."""
 
     completion: "Completion"
+
+
+@dataclass(frozen=True, slots=True)
+class Spin:
+    """Spin on ``lock`` until ``ticket`` may take it.
+
+    Each attempt burns ``lock.spin_slice_ns`` of CPU on one core, exactly
+    as a ``Compute`` of that length.  The CPU model re-tests the ticket
+    when an attempt ends and, while it must still wait, runs the next
+    attempt itself (see :meth:`~repro.sim.cpu.CPU._slice_done`): the
+    process is resumed once, when the ticket may take the lock or to
+    deliver an interrupt.
+    """
+
+    lock: "SpinLock"
+    ticket: int
 
 
 class Interrupted(Exception):
@@ -125,6 +144,7 @@ class Process:
         self._pending_interrupt: BaseException | None = None
         self._timeout_event = None  # ScheduledEvent while blocked on Timeout
         self._waiting_on = None  # Completion while blocked on Wait
+        self._spin = None  # Spin while spinning on a ticket lock
 
     @property
     def alive(self) -> bool:

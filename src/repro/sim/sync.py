@@ -5,8 +5,11 @@ distinction:
 
 * :class:`SpinLock` — the ticket spinlock of conventional
   ``synchronize_rcu`` (Algorithm 1).  A waiter **burns a CPU core**: it
-  repeatedly issues :class:`~repro.sim.process.Compute` slices and re-tries,
-  so while it waits other runnable boot tasks cannot use that core.
+  spins one ``spin_slice_ns`` slice at a time and re-tries after each, so
+  while it waits other runnable boot tasks cannot use that core.  The
+  retries are run by the CPU model (a :class:`~repro.sim.process.Spin`
+  request), which charges every slice exactly as a ``Compute`` of that
+  length.
 * :class:`Mutex` — the blocking lock of the boosted RCU (Algorithm 2).  A
   waiter **sleeps**: it is parked on a wait queue and frees its core, at the
   price of a context-switch cost when it is woken.
@@ -20,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import SimulationError
-from repro.sim.process import Compute, Wait
+from repro.sim.process import Compute, Spin, Wait
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
@@ -241,7 +244,10 @@ class SpinLock:
     ``spin_slice_ns`` is the CPU time consumed per failed attempt before
     re-trying.  A long critical section under contention therefore occupies
     one core per spinner — exactly the pathology the RCU Booster removes at
-    boot time.
+    boot time.  Each attempt is scheduled like a ``Compute`` of that length
+    (quantum slices, run-queue rotation at every boundary) and observes a
+    release only when it ends; ``spin_time_ns`` counts every completed
+    attempt.
     """
 
     def __init__(self, engine: "Simulator", name: str = "spinlock",
@@ -277,7 +283,13 @@ class SpinLock:
         return False
 
     def acquire(self) -> "ProcessGenerator":
-        """Generator helper: spin (burning CPU) until the lock is granted."""
+        """Generator helper: spin (burning CPU) until the lock is granted.
+
+        A contended ticket yields one :class:`~repro.sim.process.Spin`; the
+        CPU model re-tests the ticket after every spin slice and resumes
+        the caller once the ticket may take the lock, or to deliver an
+        interrupt, which gives the ticket up.
+        """
         process = self._engine.current_process
         if process is None:
             raise SimulationError(f"spinlock {self.name!r} acquired outside a process")
@@ -294,20 +306,14 @@ class SpinLock:
         # dict, so it never wedges the queue.
         if next(iter(tickets)) != ticket or self._held:
             self.contended_acquires += 1
-        claimed = False
-        try:
-            spin = Compute(self.spin_slice_ns)
-            while next(iter(tickets)) != ticket or self._held:
-                # Busy-wait: each slice is real CPU consumption on a core.
-                yield spin
-                self.spin_time_ns += spin.ns
-            del tickets[ticket]
-            self._held = True
-            self.owner = process
-            claimed = True
-        finally:
-            if not claimed:
-                tickets.pop(ticket, None)
+            try:
+                yield Spin(self, ticket)
+            except BaseException:
+                del tickets[ticket]
+                raise
+        del tickets[ticket]
+        self._held = True
+        self.owner = process
         return None
 
     def release(self) -> None:

@@ -3,10 +3,11 @@
 The simulated results of a boot are pinned elsewhere (report bytes, the
 paper's numbers); these pin what the CPU model did to get there: busy and
 dispatch time, the number of scheduling decisions, the deepest run queue,
-how many events the loop popped, a digest of the popped event stream and
-the final clock.  A scheduler change that keeps every result but takes a
-different path (an extra dispatch, a skipped event, two same-time events
-swapped) fails here.
+how many events the loop popped, a digest of the popped event stream, the
+final clock, and the RCU wait lock's spin time and contended acquires.  A
+scheduler change that keeps every result but takes a different path (an
+extra dispatch, a skipped event, two same-time events swapped, a spin
+slice counted twice) fails here.
 """
 
 import hashlib
@@ -46,14 +47,16 @@ class CountingQueue(EventQueue):
 
 
 # (workload, BB, cores, fault preset) ->
-# (busy_ns, switch_ns, dispatches, peak_runnable, events, now)
+# (busy_ns, switch_ns, dispatches, peak_runnable, events, now,
+#  RCU spin_time_ns, RCU contended_acquires)
 CASES = {
     ("tv-commercial", "none", 2, None):
-        (30050946151, 83660000, 41830, 91, 43184, 17616645767),
+        (30050946151, 83660000, 41830, 91, 43184, 17616645767,
+         9409000000, 520),
     ("phone", "full", 2, None):
-        (6918778200, 14302000, 7151, 58, 7359, 4216942691),
+        (6918778200, 14302000, 7151, 58, 7359, 4216942691, 3500000, 7),
     ("tv", "full", None, "flaky-services"):
-        (10943185390, 23270000, 11635, 35, 12141, 3952985008),
+        (10943185390, 23270000, 11635, 35, 12141, 3952985008, 0, 0),
 }
 
 # The sha256 of each case's popped event stream (see CountingQueue).
@@ -76,7 +79,7 @@ def _case_id(case):
 @pytest.mark.parametrize("case", list(CASES), ids=_case_id)
 def test_boot_scheduler_counters_are_pinned(case):
     workload, bb, cores, preset = case
-    busy, switch, dispatches, peak, events, now = CASES[case]
+    busy, switch, dispatches, peak, events, now, spin, contended = CASES[case]
     queue = CountingQueue()
     simulation = BootSimulation(
         WORKLOAD_FACTORIES[workload](),
@@ -91,3 +94,6 @@ def test_boot_scheduler_counters_are_pinned(case):
     assert queue.popped == events
     assert simulation.sim.now == now
     assert queue.hexdigest() == EVENT_DIGESTS[case]
+    wait_lock = simulation.booster.core_engine.rcu._wait_lock
+    assert (wait_lock.spin_time_ns, wait_lock.contended_acquires) == (
+        spin, contended)

@@ -137,3 +137,26 @@ def test_core_count_override():
     one = BootSimulation(opensource_tv_workload(), BBConfig.full(), cores=1).run()
     assert eight.boot_complete_ns <= four.boot_complete_ns
     assert four.boot_complete_ns < one.boot_complete_ns
+
+
+def test_preparser_boot_renders_each_unit_text_once(monkeypatch):
+    """The manager builds the Pre-parser cache from the registry it loads,
+    so the boot renders each unit file once, for that build, and never
+    again to check the cache it just built."""
+    from collections import Counter
+
+    from repro.initsys.registry import UnitRegistry
+
+    renders = Counter()
+    dump_unit_text = UnitRegistry.dump_unit_text
+
+    def counting(self, name):
+        renders[name] += 1
+        return dump_unit_text(self, name)
+
+    monkeypatch.setattr(UnitRegistry, "dump_unit_text", counting)
+    simulation = BootSimulation(opensource_tv_workload(), BBConfig.full())
+    simulation.run()
+    assert renders
+    assert set(renders.values()) == {1}
+    assert len(renders) == len(simulation.manager.registry)
