@@ -1,6 +1,6 @@
 # Convenience targets for the BB reproduction.
 
-.PHONY: install test test-fast coverage verify recover predict predicted bench bench-smoke perfbench-test boot-reference sweep-reference fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
+.PHONY: install test test-fast coverage verify recover predict predicted bench bench-smoke perfbench-test boot-reference sweep-reference experiment-reference fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
 
 PYTEST = PYTHONPATH=src python -m pytest
 
@@ -86,6 +86,14 @@ boot-reference:
 # names the mismatching sweeps.  Reads perfbench/, writes nothing.
 sweep-reference:
 	python3 scripts/check_sweep_reference.py
+
+# Whole-report identity gate: run `repro experiment all --jobs 1` and
+# compare its output byte for byte with scripts/reference/experiment-all.txt
+# (about 20 s).  Nonzero exit names the first differing line.  After a
+# change meant to alter the output, regenerate the reference with
+# `python3 scripts/check_experiment_reference.py --write`.
+experiment-reference:
+	python3 scripts/check_experiment_reference.py
 
 # CI-scale fleet campaign: 500 jobs through the async boot service
 # (TCP/JSON-lines, single-flight scheduler, auto-scaled worker shards),

@@ -9,8 +9,9 @@ This module evaluates exactly that arithmetic:
 * the kernel stage, manager initialization, unit loading (text or
   Pre-parser cache) and init sub-modules are strictly serial in the
   simulator — their cost is a sum, computed directly from the same model
-  objects (:class:`~repro.kernel.sequence.KernelBootSequence`,
-  :class:`~repro.initsys.preparser.PreParser`, ...) the DES uses;
+  objects and cost constants
+  (:class:`~repro.kernel.sequence.KernelBootSequence`,
+  :mod:`~repro.initsys.preparser`, ...) the DES uses;
 * the service-launch phase runs on :class:`_Machine`, a plain replica of
   the DES scheduler (:mod:`repro.sim`): one lightweight task per start
   job replays the shepherd's step sequence (ordering gates, fork through
@@ -49,11 +50,11 @@ from repro.core.core_engine import CoreEngine
 from repro.core.service_engine import ServiceEngine
 from repro.errors import AnalysisError, ReproError
 from repro.hw.storage import AccessPattern
+from repro.initsys import preparser
 from repro.initsys.executor import SERVICE_PRIORITY
 from repro.initsys.manager import (FORK_WAKE_COST_NS, KMOD_PRIORITY,
                                    MANAGER_PRIORITY)
-from repro.initsys.preparser import (PreParser, RegistryTextStats,
-                                     registry_text_stats)
+from repro.initsys.preparser import RegistryTextStats, registry_text_stats
 from repro.initsys.startup_tasks import STARTUP_TASKS, SUBMODULE_TASKS
 from repro.initsys.transaction import EdgeKind, Transaction
 from repro.initsys.units import ServiceType, UnitType
@@ -62,6 +63,8 @@ from repro.kernel.modules import SYSCALL_COST_NS, SYSCALLS_PER_LOAD
 from repro.kernel.rcu import (BOOSTED_OP_CPU_NS, CONVENTIONAL_OP_CPU_NS,
                               EXPEDITED_GRACE_PERIOD_NS, GRACE_PERIOD_NS,
                               SPIN_SLICE_NS)
+from repro.kernel.rootfs import (JOURNAL_SETUP_NS, MOUNT_CPU_NS,
+                                 SUPERBLOCK_BYTES)
 from repro.sim.cpu import DEFAULT_QUANTUM_NS, DEFAULT_SWITCH_COST_NS
 from repro.sim.sync import MUTEX_WAKE_COST_NS, SPIN_ACQUIRE_COST_NS
 from repro.workloads.base import Workload
@@ -120,14 +123,17 @@ class _Lock:
     """A sleeping lock with direct handoff (see :meth:`_Machine.release`).
 
     ``fifo=True`` is the simulator's plain ``Mutex``; otherwise it is the
-    ``PriorityMutex`` guarding the storage channel and the fork path.
+    ``PriorityMutex`` guarding the storage channel and the fork path.  As
+    in the DES, the queue is a heap of ``(key, arrival, task)``, keyed when
+    the task queues: by its priority, or by 0 if FIFO.
     """
 
-    __slots__ = ("owner", "queue", "wake_cost_ns", "fifo")
+    __slots__ = ("owner", "queue", "arrivals", "wake_cost_ns", "fifo")
 
     def __init__(self, wake_cost_ns: int, fifo: bool = False) -> None:
         self.owner: "_Task | None" = None
-        self.queue: list["_Task"] = []  # in arrival order
+        self.queue: list[tuple[int, int, "_Task"]] = []
+        self.arrivals = 0
         self.wake_cost_ns = wake_cost_ns
         self.fifo = fifo
 
@@ -290,7 +296,10 @@ class _Machine:
                         operand.owner = task
                         value = False
                         continue
-                    operand.queue.append(task)
+                    arrival = operand.arrivals
+                    operand.arrivals = arrival + 1
+                    heapq.heappush(operand.queue, (
+                        0 if operand.fifo else task.priority, arrival, task))
                     return
                 raise AnalysisError(f"unknown VM instruction {op!r}")
         except StopIteration:
@@ -307,21 +316,12 @@ class _Machine:
             self._drive(waiter, None)
 
     def release(self, lock: "_Lock") -> None:
-        """Hand ``lock`` to its first queued task of the lowest priority,
-        read now (``PriorityMutex.release``), or to its first queued task
-        if it is FIFO (``Mutex.release``)."""
-        queue = lock.queue
-        if not queue:
+        """Hand ``lock`` to the head of its queue (``Mutex.release``): no
+        task is interrupted here, so the head is always live."""
+        if not lock.queue:
             lock.owner = None
             return
-        best = 0
-        if not lock.fifo:
-            best_priority = queue[0].priority
-            for index, waiter in enumerate(queue):
-                if waiter.priority < best_priority:
-                    best = index
-                    best_priority = waiter.priority
-        task = lock.owner = queue.pop(best)
+        task = lock.owner = heapq.heappop(lock.queue)[2]
         self._drive(task, True)
 
     # --------------------------------------------------------- CPU modelling
@@ -436,16 +436,15 @@ def _kernel_stage_ns(core_engine: CoreEngine) -> int:
     total += compute_wall_ns(sequence.config.extra_cost_ns())
     for call in sequence.initcalls.boot_sequence(defer=sequence.defer_initcalls):
         total += compute_wall_ns(call.cpu_ns) + call.hw_settle_ns
-    rootfs = sequence.rootfs
-    total += storage.read_time_ns(rootfs.superblock_bytes,
+    total += storage.read_time_ns(SUPERBLOCK_BYTES,
                                   AccessPattern.RANDOM)
-    total += compute_wall_ns(rootfs.mount_cpu_ns)
-    if not rootfs.deferred_journal:
-        total += compute_wall_ns(rootfs.journal_setup_ns)
+    total += compute_wall_ns(MOUNT_CPU_NS)
+    if not sequence.rootfs.deferred_journal:
+        total += compute_wall_ns(JOURNAL_SETUP_NS)
     return total
 
 
-def _load_units_ns(preparser: PreParser, storage, stats: RegistryTextStats,
+def _load_units_ns(storage, stats: RegistryTextStats,
                    use_preparser: bool) -> int:
     """Serial cost of unit loading: Pre-parser cache or full text parse.
 
@@ -456,7 +455,7 @@ def _load_units_ns(preparser: PreParser, storage, stats: RegistryTextStats,
     if use_preparser:
         return (storage.read_time_ns(preparser.blob_bytes(stats),
                                      AccessPattern.SEQUENTIAL)
-                + compute_wall_ns(preparser.cached_unit_ns * stats.unit_count))
+                + compute_wall_ns(preparser.CACHED_UNIT_NS * stats.unit_count))
     return (compute_wall_ns(preparser.text_loading_cpu_ns(stats))
             + storage.read_time_ns(stats.total_text_bytes,
                                    AccessPattern.RANDOM)
@@ -473,8 +472,7 @@ def _core_engine(workload: Workload, platform, bb: BBConfig,
                       builtin_initcalls=workload.builtin_initcalls_factory())
 
 
-def _serial_prefix(core_engine: CoreEngine, preparser: PreParser,
-                   stats: RegistryTextStats,
+def _serial_prefix(core_engine: CoreEngine, stats: RegistryTextStats,
                    bb: BBConfig) -> tuple[int, int, int, int]:
     """Kernel, manager-init, unit-loading and sub-module times: the serial
     stages before the services phase, in boot order."""
@@ -485,8 +483,7 @@ def _serial_prefix(core_engine: CoreEngine, preparser: PreParser,
         submodules_ns = sum(compute_wall_ns(task.cpu_ns)
                             for task in SUBMODULE_TASKS)
     return (_kernel_stage_ns(core_engine), init_init_ns,
-            _load_units_ns(preparser, core_engine.platform.storage, stats,
-                           bb.preparser),
+            _load_units_ns(core_engine.platform.storage, stats, bb.preparser),
             submodules_ns)
 
 
@@ -716,9 +713,8 @@ def predict(workload: Workload, bb: BBConfig | None = None,
     service_engine = ServiceEngine(registry, workload.completion_units,
                                    bb, manual_group=manual_bb_group)
     if text_stats is None:
-        text_stats = registry_text_stats(registry, service_engine.preparser)
-    prefix = _serial_prefix(core_engine, service_engine.preparser,
-                            text_stats, bb)
+        text_stats = registry_text_stats(registry)
+    prefix = _serial_prefix(core_engine, text_stats, bb)
 
     # The boot transaction, on the post-install-section registry (static
     # builds were already applied by the ServiceEngine constructor).
@@ -855,7 +851,7 @@ class SweepPredictor:
     def __init__(self, workload_factory: Callable[[], Workload]) -> None:
         self._factory = workload_factory
         self._workload: Workload | None = None
-        self._stats: dict[bool, tuple[PreParser, RegistryTextStats]] = {}
+        self._stats: dict[bool, RegistryTextStats] = {}
         self._reference: dict[tuple, BootPrediction] = {}
         self._prefix: dict[tuple, tuple[int, int, int, int]] = {}
         self.machine_runs = 0
@@ -868,9 +864,9 @@ class SweepPredictor:
             self._workload = self._factory()
         return self._workload
 
-    def _stats_for(self, static: bool) -> tuple[PreParser, RegistryTextStats]:
-        entry = self._stats.get(static)
-        if entry is None:
+    def _stats_for(self, static: bool) -> RegistryTextStats:
+        stats = self._stats.get(static)
+        if stats is None:
             wl = self._wl()
             bb = BBConfig.none().with_feature("static_bb_group", static)
             try:
@@ -879,11 +875,9 @@ class SweepPredictor:
                 raise AnalysisError(
                     f"cannot realize workload: {exc}") from exc
             # The engine applies static builds, which change the unit text.
-            preparser = ServiceEngine(registry, wl.completion_units,
-                                      bb).preparser
-            entry = (preparser, registry_text_stats(registry, preparser))
-            self._stats[static] = entry
-        return entry
+            ServiceEngine(registry, wl.completion_units, bb)
+            stats = self._stats[static] = registry_text_stats(registry)
+        return stats
 
     def _prefix_key(self, bb: BBConfig) -> tuple:
         return tuple(getattr(bb, f) for f in PREFIX_ONLY_FEATURES) \
@@ -896,7 +890,7 @@ class SweepPredictor:
             wl = self._wl()
             core_engine = _core_engine(wl, wl.platform_factory(), bb, None)
             parts = _serial_prefix(core_engine,
-                                   *self._stats_for(bb.static_bb_group), bb)
+                                   self._stats_for(bb.static_bb_group), bb)
             self._prefix[key] = parts
         return parts
 
@@ -912,7 +906,7 @@ class SweepPredictor:
                      for f in SERVICE_PHASE_FEATURES) + (cores,)
         ref = self._reference.get(skey)
         if ref is None:
-            stats = self._stats_for(bb.static_bb_group)[1]
+            stats = self._stats_for(bb.static_bb_group)
             ref = predict(self._wl(), bb, cores=cores, text_stats=stats)
             self._reference[skey] = ref
             self._prefix[self._prefix_key(bb)] = (

@@ -35,6 +35,7 @@ import sys
 from typing import Any, Callable, Sequence
 
 from repro.analysis.report import format_table
+from repro.atomic import atomic_write_bytes
 from repro.bootchart import BootChart, render_ascii, render_svg
 from repro.bootspec import ResolvedSpec, resolve_spec
 from repro.errors import ConfigurationError, GenerationError
@@ -608,13 +609,13 @@ def _cmd_bootchart(args: argparse.Namespace) -> int:
     chart = BootChart.from_report(simulation.run())
     print(render_ascii(chart, max_rows=args.rows))
     if args.svg:
-        with open(args.svg, "w") as handle:
-            handle.write(render_svg(chart))
+        atomic_write_bytes(args.svg, render_svg(chart).encode())
         print(f"SVG written to {args.svg}")
     if args.trace:
         from repro.analysis.chrome_trace import tracer_to_chrome_json
-        with open(args.trace, "w") as handle:
-            handle.write(tracer_to_chrome_json(simulation.sim.tracer))
+        atomic_write_bytes(
+            args.trace,
+            tracer_to_chrome_json(simulation.sim.tracer).encode())
         print(f"Chrome trace written to {args.trace} "
               "(open in https://ui.perfetto.dev)")
     return 0

@@ -234,7 +234,6 @@ class BootSimulation:
         manager = InitManager(
             sim, registry, self.platform.storage, core_engine.rcu,
             manager_config,
-            preparser=service_engine.preparser,
             boot_modules=self.workload.boot_modules_factory(),
             preexisting_paths=set(self.workload.preexisting_paths),
             edge_filter=service_engine.edge_filter,

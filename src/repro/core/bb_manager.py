@@ -25,15 +25,11 @@ BB_GROUP_PRIORITY = 20
 class BootingBoosterManager:
     """Priority policy derived from the isolated BB Group."""
 
-    def __init__(self, isolator: BBGroupIsolator,
-                 group_priority: int = BB_GROUP_PRIORITY,
-                 default_priority: int = SERVICE_PRIORITY):
+    def __init__(self, isolator: BBGroupIsolator):
         self.isolator = isolator
-        self.group_priority = group_priority
-        self.default_priority = default_priority
 
     def priority_fn(self, unit: Unit) -> int:
         """Executor hook: scheduling priority for a unit's start job."""
         if unit.name in self.isolator.group:
-            return self.group_priority
-        return self.default_priority
+            return BB_GROUP_PRIORITY
+        return SERVICE_PRIORITY

@@ -27,13 +27,11 @@ from repro.initsys.transaction import OrderingEdge
 class BBGroupIsolator:
     """Computes and enforces the BB Group for one workload."""
 
-    def __init__(self, registry: UnitRegistry, completion_units: Iterable[str],
-                 extra_members: Iterable[str] = ()):
+    def __init__(self, registry: UnitRegistry, completion_units: Iterable[str]):
         self.registry = registry
         self.completion_units = tuple(completion_units)
         graph = DependencyGraph(registry)
         closure = graph.strong_closure(self.completion_units)
-        closure.update(extra_members)
         # Only units that actually exist make it into the group.
         self.group: frozenset[str] = frozenset(n for n in closure
                                                if n in registry)

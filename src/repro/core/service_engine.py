@@ -1,9 +1,9 @@
 """Service Engine — BB's service-level components (§3.3).
 
 Bundles the Booting Booster Group Isolator, the Booting Booster Manager,
-the Pre-parser, and the Service Analyzer for one workload, and exposes the
-executor hooks (edge filter, priority function) that the init manager
-consumes.
+the Pre-parser cache build, and the Service Analyzer for one workload, and
+exposes the executor hooks (edge filter, priority function) that the init
+manager consumes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.core.bb_manager import BootingBoosterManager
 from repro.core.config import BBConfig
 from repro.core.isolator import BBGroupIsolator
 from repro.graph.analyzer import AnalyzerReport, ServiceAnalyzer
-from repro.initsys.preparser import PreParsedCache, PreParser
+from repro.initsys.preparser import PreParsedCache, build_cache
 from repro.initsys.registry import UnitRegistry
 from repro.initsys.transaction import OrderingEdge
 from repro.initsys.units import Unit, replace_unit
@@ -24,13 +24,11 @@ class ServiceEngine:
     """Service-level BB for one unit registry and completion definition."""
 
     def __init__(self, registry: UnitRegistry, completion_units: Iterable[str],
-                 bb: BBConfig, extra_group_members: Iterable[str] = (),
-                 manual_group: Iterable[str] | None = None):
+                 bb: BBConfig, manual_group: Iterable[str] | None = None):
         self.bb = bb
         self.registry = registry
         self.completion_units = tuple(completion_units)
-        self.isolator = BBGroupIsolator(registry, self.completion_units,
-                                        extra_members=extra_group_members)
+        self.isolator = BBGroupIsolator(registry, self.completion_units)
         if manual_group is not None:
             # The Fig. 7 experiment mode: the group is declared by hand
             # ("we have manually added var.mount into the isolated BB
@@ -38,7 +36,6 @@ class ServiceEngine:
             self.isolator.group = frozenset(n for n in manual_group
                                             if n in registry)
         self.bb_manager = BootingBoosterManager(self.isolator)
-        self.preparser = PreParser()
         if bb.static_bb_group:
             self._apply_static_builds()
 
@@ -71,7 +68,7 @@ class ServiceEngine:
 
     def build_cache(self) -> PreParsedCache:
         """Build the Pre-parser cache for this registry (build time)."""
-        return self.preparser.build_cache(self.registry)
+        return build_cache(self.registry)
 
     def analyze(self) -> AnalyzerReport:
         """Run the Service Analyzer over the registry."""

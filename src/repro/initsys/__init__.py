@@ -25,7 +25,6 @@ from repro.initsys.executor import JobExecutor
 from repro.initsys.manager import BootCompletion, InitManager, ManagerConfig
 from repro.initsys.memory_pressure import MemoryPressureManager
 from repro.initsys.outoforder import OutOfOrderInitScheme
-from repro.initsys.preparser import PreParser
 from repro.initsys.registry import UnitRegistry
 from repro.initsys.runlevels import AdvancedBootScript
 from repro.initsys.shutdown import ShutdownSequencer
@@ -46,7 +45,6 @@ __all__ = [
     "ManagerConfig",
     "MemoryPressureManager",
     "OutOfOrderInitScheme",
-    "PreParser",
     "RestartPolicy",
     "STARTUP_TASKS",
     "ServiceType",

@@ -24,15 +24,16 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError, ServiceFailureError
 from repro.hw.storage import StorageDevice
+from repro.initsys import preparser
 from repro.initsys.executor import JobExecutor, PathRegistry
-from repro.initsys.preparser import PreParsedCache, PreParser
+from repro.initsys.preparser import PreParsedCache
 from repro.initsys.registry import UnitRegistry
 from repro.initsys.startup_tasks import STARTUP_TASKS, SUBMODULE_TASKS, StartupTask
 from repro.initsys.transaction import OrderingEdge, Transaction
 from repro.initsys.units import Unit
 from repro.kernel.modules import KernelModule, ModuleLoader
 from repro.kernel.rcu import RCUSubsystem
-from repro.sim.process import Timeout, Wait
+from repro.sim.process import DEFERRED_PRIORITY, Timeout, Wait
 from repro.sim.sync import PriorityMutex
 
 if TYPE_CHECKING:
@@ -47,9 +48,6 @@ KMOD_PRIORITY = 60
 
 #: Wake cost of a task woken with the manager's fork lock.
 FORK_WAKE_COST_NS = 1_000
-
-#: Priority of post-completion deferred work (lower than any boot task).
-DEFERRED_PRIORITY = 300
 
 #: Bounded backoff for deferred tasks whose run fails (fault injection):
 #: first retry after 50 ms, doubling up to 400 ms, at most 5 retries.
@@ -71,8 +69,6 @@ class ManagerConfig:
             after completion instead of during service launch.
         use_preparser: BB Pre-parser — load units from the binary cache.
         ondemand_modules: BB On-demand Modularizer — no kmod bulk loading.
-        startup_tasks: Manager start-up task list (Fig. 6(b) by default).
-        submodule_tasks: Init sub-module list (Fig. 6(c) by default).
         restart_seed: Seed for the executor's deterministic restart
             jitter draws (recovery replay determinism).
         restart_jitter: Relative jitter applied to restart backoff
@@ -85,8 +81,6 @@ class ManagerConfig:
     defer_submodules: bool = False
     use_preparser: bool = False
     ondemand_modules: bool = False
-    startup_tasks: tuple[StartupTask, ...] = STARTUP_TASKS
-    submodule_tasks: tuple[StartupTask, ...] = SUBMODULE_TASKS
     restart_seed: int = 0
     restart_jitter: float = 0.0
 
@@ -109,7 +103,6 @@ class InitManager:
     def __init__(self, engine: "Simulator", registry: UnitRegistry,
                  storage: StorageDevice, rcu: RCUSubsystem,
                  config: ManagerConfig,
-                 preparser: PreParser | None = None,
                  cache: PreParsedCache | None = None,
                  boot_modules: tuple[KernelModule, ...] = (),
                  preexisting_paths: set[str] | None = None,
@@ -123,7 +116,6 @@ class InitManager:
         self.storage = storage
         self.rcu = rcu
         self.config = config
-        self.preparser = preparser if preparser is not None else PreParser()
         self._cache = cache
         self.boot_modules = tuple(boot_modules)
         self.module_loader = ModuleLoader(storage)
@@ -184,7 +176,7 @@ class InitManager:
         # without BB they block job dispatch for their full duration, which
         # is exactly why the Deferred Executor's saving equals their cost.
         if not self.config.defer_submodules:
-            for task in self.config.submodule_tasks:
+            for task in SUBMODULE_TASKS:
                 yield from task.run(engine)
         kmod_process = self._spawn_kmod_worker()
 
@@ -218,7 +210,7 @@ class InitManager:
         engine = self._engine
         span = engine.tracer.begin("init.initialization", "boot-stage")
         deferred: list[StartupTask] = []
-        for task in self.config.startup_tasks:
+        for task in STARTUP_TASKS:
             if task.deferrable and self.config.defer_startup_tasks:
                 deferred.append(task)
                 continue
@@ -232,20 +224,20 @@ class InitManager:
             if cache is None:
                 # Built from the registry about to be loaded, so fresh by
                 # construction: only a cache handed in is checked.
-                cache = self.preparser.build_cache(self.registry)
+                cache = preparser.build_cache(self.registry)
             elif not cache.is_fresh(self.registry):
                 # §2.5 dynamicity: a service was installed or updated after
                 # the cache was built — fall back to the full text parse so
                 # the boot stays correct (and pays the conventional cost).
                 self._engine.tracer.instant("preparser.cache-stale", "init-task")
-                yield from self.preparser.load_from_text(
+                yield from preparser.load_from_text(
                     self._engine, self.registry, self.storage)
                 return
-            yield from self.preparser.load_from_cache(self._engine, cache,
-                                                      self.storage)
+            yield from preparser.load_from_cache(self._engine, cache,
+                                                 self.storage)
         else:
-            yield from self.preparser.load_from_text(self._engine, self.registry,
-                                                     self.storage)
+            yield from preparser.load_from_text(self._engine, self.registry,
+                                                self.storage)
 
     def _check_completion_units(self) -> None:
         assert self.transaction is not None
@@ -317,7 +309,7 @@ class InitManager:
                 self._run_deferred(task), name=f"deferred:{task.name}",
                 priority=DEFERRED_PRIORITY))
         if self.config.defer_submodules:
-            for task in self.config.submodule_tasks:
+            for task in SUBMODULE_TASKS:
                 self.deferred_processes.append(engine.spawn(
                     self._run_deferred(task), name=f"deferred:{task.name}",
                     priority=DEFERRED_PRIORITY))

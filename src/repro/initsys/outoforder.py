@@ -33,6 +33,13 @@ if TYPE_CHECKING:
     from repro.sim.engine import Simulator
     from repro.sim.process import Process, ProcessGenerator
 
+#: Interval between two path-check polls.
+POLL_INTERVAL_NS = msec(10)
+#: CPU cost of one path-check poll.
+POLL_CPU_NS = usec(50)
+#: Crash-and-retry penalty of a unit started before its requirement.
+VIOLATION_PENALTY_NS = msec(30)
+
 
 @dataclass(slots=True)
 class OutOfOrderResult:
@@ -50,9 +57,6 @@ class OutOfOrderInitScheme:
                  storage: StorageDevice, rcu: RCUSubsystem,
                  goal: str, completion_units: tuple[str, ...],
                  path_check: bool = False,
-                 poll_interval_ns: int = msec(10),
-                 poll_cpu_ns: int = usec(50),
-                 violation_penalty_ns: int = msec(30),
                  preexisting_paths: set[str] | None = None):
         self._engine = engine
         self.registry = registry
@@ -61,9 +65,6 @@ class OutOfOrderInitScheme:
         self.goal = goal
         self.completion_units = completion_units
         self.path_check = path_check
-        self.poll_interval_ns = poll_interval_ns
-        self.poll_cpu_ns = poll_cpu_ns
-        self.violation_penalty_ns = violation_penalty_ns
         self.paths = PathRegistry(engine, preexisting=preexisting_paths)
         self.transaction: Transaction | None = None
         self.result = OutOfOrderResult()
@@ -128,7 +129,7 @@ class OutOfOrderInitScheme:
                     # and pay the crash-and-retry penalty, then block until
                     # the dependency is up (the retried start succeeds).
                     self.result.violations.append((unit.name, dep))
-                    yield Compute(self.violation_penalty_ns)
+                    yield Compute(VIOLATION_PENALTY_NS)
                     yield Wait(dep_job.ready)
         yield from runner.run(job)
         # Out-of-order schemes have no provides mechanism of their own; a
@@ -142,7 +143,7 @@ class OutOfOrderInitScheme:
             # (no provides declared) is detected via its pid file.
             if dep_job.ready is not None and dep_job.ready.fired:
                 break
-            yield Compute(self.poll_cpu_ns)
+            yield Compute(POLL_CPU_NS)
             polls += 1
-            yield Timeout(self.poll_interval_ns)
+            yield Timeout(POLL_INTERVAL_NS)
         return polls

@@ -6,9 +6,10 @@ its in-memory graph.  The Pre-parser does both at *build time* and ships a
 compact binary cache, so boot pays one sequential read plus a cheap
 deserialization instead of hundreds of file operations and text parses.
 
-The cost model is explicit and calibrated against Fig. 6(d): on the
-Tizen TV workload the cache saves ~150 ms of "loading services" and
-~231 ms of "parsing service dependencies".
+The cost model is the module constants below, calibrated against
+Fig. 6(d): on the Tizen TV workload the cache saves ~150 ms of "loading
+services" and ~231 ms of "parsing service dependencies".  The closed-form
+predictor (:mod:`repro.analysis.predict`) charges from the same names.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError
 from repro.hw.storage import AccessPattern, StorageDevice
 from repro.initsys.registry import UnitRegistry
 from repro.quantities import usec
@@ -26,6 +26,24 @@ from repro.sim.process import Compute
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
     from repro.sim.process import ProcessGenerator
+
+
+#: CPU cost of one file operation (stat/open/read/close).
+FILE_OP_NS = usec(145)
+#: File operations systemd performs per unit when loading from text (unit
+#: file, drop-in dirs, aliases...).
+FILE_OPS_PER_UNIT = 9
+#: Fixed parse cost per unit file.
+PARSE_BASE_NS = usec(140)
+#: Parse cost per byte of unit-file text.
+PARSE_PER_BYTE_NS = 150.0
+#: Cost of resolving one dependency reference into the in-memory graph
+#: (list scans, hash inserts).
+RESOLVE_PER_EDGE_NS = usec(600)
+#: Deserialization cost per unit when loading the binary cache.
+CACHED_UNIT_NS = usec(18)
+#: Cache size as a fraction of the text size.
+CACHE_COMPRESSION = 0.45
 
 
 def dependency_edge_count(registry: UnitRegistry) -> int:
@@ -74,16 +92,13 @@ class RegistryTextStats:
     fingerprint: str
 
 
-def registry_text_stats(registry: UnitRegistry,
-                        preparser: "PreParser") -> RegistryTextStats:
-    """Render every unit of ``registry`` once and total its text costs
-    under ``preparser``'s cost model."""
+def registry_text_stats(registry: UnitRegistry) -> RegistryTextStats:
+    """Render every unit of ``registry`` once and total its text costs."""
     texts = _unit_texts(registry)
-    base, per_byte = preparser.parse_base_ns, preparser.parse_per_byte_ns
     return RegistryTextStats(
         unit_count=len(texts),
         total_text_bytes=sum(len(text) for _, text in texts),
-        parse_text_ns=sum(base + round(per_byte * len(text))
+        parse_text_ns=sum(PARSE_BASE_NS + round(PARSE_PER_BYTE_NS * len(text))
                           for _, text in texts),
         edge_count=dependency_edge_count(registry),
         fingerprint=_fingerprint(texts))
@@ -112,95 +127,65 @@ class PreParsedCache:
             self.fingerprint == registry_fingerprint(registry)
 
 
-class PreParser:
-    """Build-time parser and boot-time loader with explicit cost model.
+# ------------------------------------------------------------------ build
 
-    Args:
-        file_op_ns: CPU cost of one file operation (stat/open/read/close).
-        file_ops_per_unit: File operations systemd performs per unit when
-            loading from text (unit file, drop-in dirs, aliases...).
-        parse_base_ns: Fixed parse cost per unit file.
-        parse_per_byte_ns: Parse cost per byte of unit-file text.
-        resolve_per_edge_ns: Cost of resolving one dependency reference
-            into the in-memory graph (list scans, hash inserts).
-        cached_unit_ns: Deserialization cost per unit when loading the
-            binary cache.
-        cache_compression: Cache size as a fraction of the text size.
+
+def build_cache(registry: UnitRegistry) -> PreParsedCache:
+    """Produce the build-time cache for a unit set (costs nothing at boot)."""
+    stats = registry_text_stats(registry)
+    return PreParsedCache(unit_count=stats.unit_count,
+                          edge_count=stats.edge_count,
+                          blob_bytes=blob_bytes(stats),
+                          fingerprint=stats.fingerprint)
+
+
+# -------------------------------------------------------- cost estimation
+
+
+def blob_bytes(stats: RegistryTextStats) -> int:
+    """On-disk size of the cache built from a unit set."""
+    return max(1, round(stats.total_text_bytes * CACHE_COMPRESSION))
+
+
+def text_loading_cpu_ns(stats: RegistryTextStats) -> int:
+    """CPU portion of loading every unit file from text."""
+    return FILE_OP_NS * FILE_OPS_PER_UNIT * stats.unit_count
+
+
+def text_parsing_cpu_ns(stats: RegistryTextStats) -> int:
+    """CPU portion of parsing text and resolving the dependency graph."""
+    return stats.parse_text_ns + RESOLVE_PER_EDGE_NS * stats.edge_count
+
+
+# ----------------------------------------------------------- boot loading
+
+
+def load_from_text(engine: "Simulator", registry: UnitRegistry,
+                   storage: StorageDevice) -> "ProcessGenerator":
+    """Generator: the conventional boot-time load (no cache).
+
+    Charges two traced phases exactly as Fig. 6(d) splits them:
+    ``init.load-units`` (file operations + storage reads) and
+    ``init.parse-deps`` (text parse + dependency resolution).
     """
+    stats = registry_text_stats(registry)
+    load_span = engine.tracer.begin("init.load-units", "init-task")
+    yield Compute(text_loading_cpu_ns(stats))
+    yield from storage.read(stats.total_text_bytes, AccessPattern.RANDOM)
+    engine.tracer.end(load_span)
 
-    def __init__(self, file_op_ns: int = usec(145),
-                 file_ops_per_unit: int = 9,
-                 parse_base_ns: int = usec(140),
-                 parse_per_byte_ns: float = 150.0,
-                 resolve_per_edge_ns: int = usec(600),
-                 cached_unit_ns: int = usec(18),
-                 cache_compression: float = 0.45):
-        if min(file_op_ns, file_ops_per_unit, parse_base_ns,
-               resolve_per_edge_ns, cached_unit_ns) < 0:
-            raise ConfigurationError("pre-parser costs cannot be negative")
-        if not 0.0 < cache_compression <= 1.0:
-            raise ConfigurationError(
-                f"cache_compression must be in (0, 1]: {cache_compression}")
-        self.file_op_ns = file_op_ns
-        self.file_ops_per_unit = file_ops_per_unit
-        self.parse_base_ns = parse_base_ns
-        self.parse_per_byte_ns = parse_per_byte_ns
-        self.resolve_per_edge_ns = resolve_per_edge_ns
-        self.cached_unit_ns = cached_unit_ns
-        self.cache_compression = cache_compression
+    parse_span = engine.tracer.begin("init.parse-deps", "init-task")
+    yield Compute(text_parsing_cpu_ns(stats))
+    engine.tracer.end(parse_span)
 
-    # -------------------------------------------------------------- build
 
-    def build_cache(self, registry: UnitRegistry) -> PreParsedCache:
-        """Produce the build-time cache for a unit set (costs nothing at boot)."""
-        stats = registry_text_stats(registry, self)
-        return PreParsedCache(unit_count=stats.unit_count,
-                              edge_count=stats.edge_count,
-                              blob_bytes=self.blob_bytes(stats),
-                              fingerprint=stats.fingerprint)
+def load_from_cache(engine: "Simulator", cache: PreParsedCache,
+                    storage: StorageDevice) -> "ProcessGenerator":
+    """Generator: the BB boot-time load from the pre-parsed cache."""
+    load_span = engine.tracer.begin("init.load-units", "init-task", cached=True)
+    yield from storage.read(cache.blob_bytes, AccessPattern.SEQUENTIAL)
+    engine.tracer.end(load_span)
 
-    # ----------------------------------------------------- cost estimation
-
-    def blob_bytes(self, stats: RegistryTextStats) -> int:
-        """On-disk size of the cache built from a unit set."""
-        return max(1, round(stats.total_text_bytes * self.cache_compression))
-
-    def text_loading_cpu_ns(self, stats: RegistryTextStats) -> int:
-        """CPU portion of loading every unit file from text."""
-        return self.file_op_ns * self.file_ops_per_unit * stats.unit_count
-
-    def text_parsing_cpu_ns(self, stats: RegistryTextStats) -> int:
-        """CPU portion of parsing text and resolving the dependency graph."""
-        return (stats.parse_text_ns
-                + self.resolve_per_edge_ns * stats.edge_count)
-
-    # --------------------------------------------------------- boot loading
-
-    def load_from_text(self, engine: "Simulator", registry: UnitRegistry,
-                       storage: StorageDevice) -> "ProcessGenerator":
-        """Generator: the conventional boot-time load (no cache).
-
-        Charges two traced phases exactly as Fig. 6(d) splits them:
-        ``init.load-units`` (file operations + storage reads) and
-        ``init.parse-deps`` (text parse + dependency resolution).
-        """
-        stats = registry_text_stats(registry, self)
-        load_span = engine.tracer.begin("init.load-units", "init-task")
-        yield Compute(self.text_loading_cpu_ns(stats))
-        yield from storage.read(stats.total_text_bytes, AccessPattern.RANDOM)
-        engine.tracer.end(load_span)
-
-        parse_span = engine.tracer.begin("init.parse-deps", "init-task")
-        yield Compute(self.text_parsing_cpu_ns(stats))
-        engine.tracer.end(parse_span)
-
-    def load_from_cache(self, engine: "Simulator", cache: PreParsedCache,
-                        storage: StorageDevice) -> "ProcessGenerator":
-        """Generator: the BB boot-time load from the pre-parsed cache."""
-        load_span = engine.tracer.begin("init.load-units", "init-task", cached=True)
-        yield from storage.read(cache.blob_bytes, AccessPattern.SEQUENTIAL)
-        engine.tracer.end(load_span)
-
-        parse_span = engine.tracer.begin("init.parse-deps", "init-task", cached=True)
-        yield Compute(self.cached_unit_ns * cache.unit_count)
-        engine.tracer.end(parse_span)
+    parse_span = engine.tracer.begin("init.parse-deps", "init-task", cached=True)
+    yield Compute(CACHED_UNIT_NS * cache.unit_count)
+    engine.tracer.end(parse_span)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.hw.memory import DRAMModel
-from repro.sim.process import Compute
+from repro.sim.process import DEFERRED_PRIORITY, Compute
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
@@ -47,8 +47,7 @@ class MemoryInitializer:
             self.remainder_done = True
         engine.tracer.end(span)
 
-    def spawn_deferred_remainder(self, engine: "Simulator",
-                                 priority: int = 300) -> "Process | None":
+    def spawn_deferred_remainder(self, engine: "Simulator") -> "Process | None":
         """Start the deferred remainder as a low-priority background task.
 
         Returns the spawned process, or ``None`` when there is nothing to
@@ -63,4 +62,5 @@ class MemoryInitializer:
             self.remainder_done = True
             engine.tracer.end(span)
 
-        return engine.spawn(remainder(), name="meminit-deferred", priority=priority)
+        return engine.spawn(remainder(), name="meminit-deferred",
+                            priority=DEFERRED_PRIORITY)

@@ -14,11 +14,19 @@ from typing import TYPE_CHECKING
 from repro.errors import KernelError
 from repro.hw.storage import AccessPattern, StorageDevice
 from repro.quantities import KiB, msec
-from repro.sim.process import Compute
+from repro.sim.process import DEFERRED_PRIORITY, Compute
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
     from repro.sim.process import Process, ProcessGenerator
+
+
+#: Metadata read at mount time.
+SUPERBLOCK_BYTES = KiB(256)
+#: Mount-path CPU work excluding the journal.
+MOUNT_CPU_NS = msec(68)
+#: Cost of enabling writable journal mode.
+JOURNAL_SETUP_NS = msec(35)
 
 
 class RootFilesystem:
@@ -26,24 +34,13 @@ class RootFilesystem:
 
     Args:
         storage: Device holding the filesystem.
-        superblock_bytes: Metadata read at mount time.
-        mount_cpu_ns: Mount-path CPU work excluding the journal.
-        journal_setup_ns: Cost of enabling writable journal mode.
         deferred_journal: BB flag: mount read-only now, enable the journal
             after boot completion via :meth:`spawn_deferred_journal`.
     """
 
     def __init__(self, storage: StorageDevice,
-                 superblock_bytes: int = KiB(256),
-                 mount_cpu_ns: int = msec(68),
-                 journal_setup_ns: int = msec(35),
                  deferred_journal: bool = False):
-        if min(superblock_bytes, mount_cpu_ns, journal_setup_ns) < 0:
-            raise KernelError("rootfs parameters cannot be negative")
         self.storage = storage
-        self.superblock_bytes = superblock_bytes
-        self.mount_cpu_ns = mount_cpu_ns
-        self.journal_setup_ns = journal_setup_ns
         self.deferred_journal = deferred_journal
         self.mounted = False
         self.journal_enabled = False
@@ -52,16 +49,15 @@ class RootFilesystem:
         """Generator: mount the root filesystem during kernel boot."""
         span = engine.tracer.begin("kernel.rootfs", "kernel",
                                    deferred_journal=self.deferred_journal)
-        yield from self.storage.read(self.superblock_bytes, AccessPattern.RANDOM)
-        yield Compute(self.mount_cpu_ns)
+        yield from self.storage.read(SUPERBLOCK_BYTES, AccessPattern.RANDOM)
+        yield Compute(MOUNT_CPU_NS)
         if not self.deferred_journal:
-            yield Compute(self.journal_setup_ns)
+            yield Compute(JOURNAL_SETUP_NS)
             self.journal_enabled = True
         self.mounted = True
         engine.tracer.end(span)
 
-    def spawn_deferred_journal(self, engine: "Simulator",
-                               priority: int = 300) -> "Process | None":
+    def spawn_deferred_journal(self, engine: "Simulator") -> "Process | None":
         """Remount with the journal enabled, after boot completion.
 
         Returns the spawned process, or ``None`` if the journal is already
@@ -77,8 +73,9 @@ class RootFilesystem:
 
         def remount() -> "ProcessGenerator":
             span = engine.tracer.begin("kernel.rootfs.journal", "deferred")
-            yield Compute(self.journal_setup_ns)
+            yield Compute(JOURNAL_SETUP_NS)
             self.journal_enabled = True
             engine.tracer.end(span)
 
-        return engine.spawn(remount(), name="rootfs-journal-deferred", priority=priority)
+        return engine.spawn(remount(), name="rootfs-journal-deferred",
+                            priority=DEFERRED_PRIORITY)

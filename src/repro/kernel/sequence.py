@@ -27,6 +27,9 @@ if TYPE_CHECKING:
     from repro.sim.engine import Simulator
     from repro.sim.process import Process, ProcessGenerator
 
+#: Size of the kernel image: the uncompressed TV kernel.
+KERNEL_IMAGE_BYTES = MiB(10)
+
 
 @dataclass(frozen=True, slots=True)
 class KernelBootTimings:
@@ -54,7 +57,6 @@ class KernelBootSequence:
             ``platform.attach(engine)``).
         config: Kernel build configuration; defaults to the §2.4-optimized
             commercial kernel.
-        image: Kernel image; defaults to the 10 MiB uncompressed TV kernel.
         initcalls: Built-in initcall registry (driver plan); empty default.
         deferred_meminit: BB Core Engine flag — initialize only the
             boot-required memory region now.
@@ -66,14 +68,13 @@ class KernelBootSequence:
 
     def __init__(self, platform: HardwarePlatform,
                  config: KernelConfig | None = None,
-                 image: KernelImage | None = None,
                  initcalls: InitcallRegistry | None = None,
                  deferred_meminit: bool = False,
                  deferred_journal: bool = False,
                  defer_initcalls: bool = False):
         self.platform = platform
         self.config = config if config is not None else KernelConfig.commercial()
-        self.image = image if image is not None else KernelImage(size_bytes=MiB(10))
+        self.image = KernelImage(size_bytes=KERNEL_IMAGE_BYTES)
         self.initcalls = initcalls if initcalls is not None else InitcallRegistry()
         self.defer_initcalls = defer_initcalls
         self.bootloader = Bootloader()
@@ -115,8 +116,7 @@ class KernelBootSequence:
             initcalls_ns=initcalls_ns, rootfs_ns=rootfs_ns)
         return self.timings
 
-    def spawn_deferred_tasks(self, engine: "Simulator",
-                             priority: int = 300) -> list["Process"]:
+    def spawn_deferred_tasks(self, engine: "Simulator") -> list["Process"]:
         """Launch the kernel-side deferred work (BB post-completion hook).
 
         Returns the spawned background processes (deferred memory
@@ -124,10 +124,10 @@ class KernelBootSequence:
         deferred.
         """
         spawned = []
-        remainder = self.meminit.spawn_deferred_remainder(engine, priority=priority)
+        remainder = self.meminit.spawn_deferred_remainder(engine)
         if remainder is not None:
             spawned.append(remainder)
-        journal = self.rootfs.spawn_deferred_journal(engine, priority=priority)
+        journal = self.rootfs.spawn_deferred_journal(engine)
         if journal is not None:
             spawned.append(journal)
         return spawned

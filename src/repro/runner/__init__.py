@@ -36,8 +36,8 @@ boots as ``SimJob``\\ s and submit them through a shared runner, so
 from repro.runner.branch import (BranchRunner, BranchStats, canonical_bytes,
                                  default_backend)
 from repro.runner.cache import CacheStats, ResultCache
-from repro.runner.jobs import (CheckpointSpec, SimJob, code_version,
-                               execute_job, make_boot_simulation)
+from repro.runner.jobs import (SimJob, code_version, execute_job,
+                               make_boot_simulation)
 from repro.runner.schedule import (BatchPlan, JobScheduler, SchedulerStats,
                                    Ticket, plan_batch, resolve_worker_count)
 from repro.runner.sweep import SweepRunner, SweepStats
@@ -47,7 +47,6 @@ __all__ = [
     "BranchRunner",
     "BranchStats",
     "CacheStats",
-    "CheckpointSpec",
     "JobScheduler",
     "ResultCache",
     "SchedulerStats",

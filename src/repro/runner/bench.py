@@ -45,6 +45,7 @@ import time
 from functools import partial
 from typing import Any
 
+from repro.atomic import atomic_write_bytes
 from repro.runner.cache import ResultCache
 from repro.runner.jobs import code_version
 from repro.runner.sweep import SweepRunner
@@ -433,7 +434,8 @@ def build_record(jobs: int, events: int = 200_000,
 
 
 def write_record(record: dict[str, Any], path: str) -> None:
-    """Serialize a benchmark record as pretty JSON."""
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Serialize a benchmark record as pretty JSON, then replace ``path``
+    with it atomically: a record that cannot be serialized leaves the
+    previous one intact."""
+    payload = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    atomic_write_bytes(path, payload.encode())

@@ -258,8 +258,8 @@ class BranchRunner:
 
         Jobs are grouped by :meth:`SimJob.prefix_fingerprint`; groups
         smaller than ``min_group``, and jobs that cannot branch at all
-        (recovery/kernel kinds, path-fault plans, opted-out checkpoints),
-        land in ``rest`` for ordinary from-scratch execution.
+        (recovery/kernel kinds, path-fault plans), land in ``rest`` for
+        ordinary from-scratch execution.
         """
         by_prefix: dict[str, list[tuple[str, SimJob]]] = {}
         rest: list[tuple[str, SimJob]] = []
@@ -300,12 +300,6 @@ class BranchRunner:
             plan = job.fault_plan
             divergence = (first_divergence(records, plan.compile())
                           if plan is not None else None)
-            spec = job.checkpoint
-            if spec is not None and spec.divergence_ns is not None:
-                # An explicit spec can only tighten the bound: forking
-                # earlier than needed is sound, later is not.
-                divergence = (spec.divergence_ns if divergence is None
-                              else min(divergence, spec.divergence_ns))
             if plan is None:
                 results[fingerprint] = master_report
                 self.stats.no_divergence += 1

@@ -79,35 +79,6 @@ def canonical_repr(obj: Any) -> str:
     return repr(obj)
 
 
-@dataclass(frozen=True, slots=True)
-class CheckpointSpec:
-    """How a boot job may branch off a shared null-boot prefix.
-
-    Attached to a :class:`SimJob` purely as execution *strategy*: the spec
-    never enters the fingerprint, because branching is required to be
-    result-invariant (the verify oracle enforces byte-identity).
-
-    Attributes:
-        divergence_ns: Optional "fork no later than" sim time.  The branch
-            runner forks at ``min(divergence_ns, first injected fault)`` —
-            forking earlier than necessary is always sound (the suffix
-            just replays more shared events), forking later is not, so an
-            explicit time can only tighten the automatic probe-derived
-            bound.  ``None`` derives the time entirely from the probe.
-        enabled: ``False`` opts this job out of branching even inside an
-            eligible group (it runs from scratch).
-    """
-
-    divergence_ns: int | None = None
-    enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if self.divergence_ns is not None and self.divergence_ns < 0:
-            raise SimulationError(
-                f"CheckpointSpec.divergence_ns cannot be negative: "
-                f"{self.divergence_ns!r}")
-
-
 def _require_module_level(factory: Callable[..., Any]) -> None:
     """Jobs cross process boundaries; the factory must pickle by reference."""
     qualname = getattr(factory, "__qualname__", "")
@@ -145,9 +116,6 @@ class SimJob:
         recovery_policy: Escalation policy (``recovery`` jobs only); the
             job runs a :class:`~repro.recovery.BootSupervisor` ladder and
             the result is a :class:`~repro.recovery.RecoveryOutcome`.
-        checkpoint: Optional :class:`CheckpointSpec` tuning checkpoint/fork
-            branching; excluded from the fingerprint (branching must be
-            result-invariant).
         label: Human-facing tag; excluded from the fingerprint.
     """
 
@@ -162,7 +130,6 @@ class SimJob:
     platform_preset: str = "ue48h6200"
     fault_plan: FaultPlan | None = None
     recovery_policy: Any | None = None
-    checkpoint: CheckpointSpec | None = None
     label: str = ""
 
     # ------------------------------------------------------------ builders
@@ -173,7 +140,6 @@ class SimJob:
              kernel_config: Any | None = None,
              manual_bb_group: tuple[str, ...] | None = None,
              fault_plan: FaultPlan | None = None,
-             checkpoint: CheckpointSpec | None = None,
              label: str = "", **kwargs: Any) -> "SimJob":
         """A full cold-boot job: ``workload_factory(*args, **kwargs)``
         booted under ``bb``."""
@@ -183,7 +149,7 @@ class SimJob:
                    workload_kwargs=tuple(sorted(kwargs.items())),
                    bb=bb, cores=cores, kernel_config=kernel_config,
                    manual_bb_group=manual_bb_group, fault_plan=fault_plan,
-                   checkpoint=checkpoint, label=label)
+                   label=label)
 
     @classmethod
     def recover(cls, workload_factory: Callable[..., Any], *args: Any,
@@ -248,8 +214,7 @@ class SimJob:
         Factored as ``sha256(prefix_fingerprint || divergence_fingerprint)``
         so the prefix component is independently addressable; covers every
         semantically meaningful field plus the code-version salt.
-        ``label`` and ``checkpoint`` are presentation/strategy only and
-        excluded — branching a job must not change its result.
+        ``label`` is presentation only and excluded.
         """
         digest = hashlib.sha256()
         digest.update(self.prefix_fingerprint().encode())
@@ -268,11 +233,9 @@ class SimJob:
         or late device paths are *structural* — the init manager blocks
         them at construction and schedules their lift events at init
         start, so the prefix itself differs and no late swap can reproduce
-        it.  An explicit ``CheckpointSpec(enabled=False)`` also opts out.
+        it.
         """
         if self.kind != KIND_BOOT:
-            return False
-        if self.checkpoint is not None and not self.checkpoint.enabled:
             return False
         return self.fault_plan is None or not self.fault_plan.paths
 
@@ -281,7 +244,6 @@ class SimJob:
         from dataclasses import replace
 
         return replace(self, fault_plan=None, recovery_policy=None,
-                       checkpoint=None,
                        label=f"prefix of {self.label}" if self.label
                              else "prefix")
 

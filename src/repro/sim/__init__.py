@@ -31,7 +31,7 @@ from repro.sim.clock import SimClock
 from repro.sim.cpu import CPU, CpuStats
 from repro.sim.engine import Simulator
 from repro.sim.process import Compute, Interrupted, Process, Timeout, Wait
-from repro.sim.sync import Completion, Mutex, Semaphore, SpinLock
+from repro.sim.sync import Completion, Mutex, SpinLock
 from repro.sim.tracing import Span, TraceInstant, Tracer
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "Interrupted",
     "Mutex",
     "Process",
-    "Semaphore",
     "SimClock",
     "Simulator",
     "Span",

@@ -36,6 +36,10 @@ ProcessGenerator = Generator[Any, Any, Any]
 #: Default scheduling priority; lower numbers run first (like ``nice``).
 DEFAULT_PRIORITY = 100
 
+#: Priority of post-completion deferred work, kernel and init alike: lower
+#: than any boot task, so it gets a core only when no boot task is queued.
+DEFERRED_PRIORITY = 300
+
 
 @dataclass(frozen=True, slots=True)
 class Timeout:
@@ -116,9 +120,11 @@ class Process:
 
     Attributes:
         name: Human-readable identifier used in traces and deadlock reports.
-        priority: Scheduling priority; lower runs first.  May be changed at
-            any time (takes effect at the next scheduler decision), which is
-            how the BB Manager boosts BB-Group services.
+        priority: Scheduling priority; lower runs first.  Set once, at
+            spawn: the BB Manager boosts BB-Group services by the priority
+            their start jobs are spawned with, and nothing changes it later
+            (a :class:`~repro.sim.sync.PriorityMutex` keys a waiter by the
+            priority it has when it queues).
         done: Fires (with :attr:`result`) when the process finishes.
         result: Return value of the generator once finished.
         cpu_time_ns: Total CPU time this process has consumed so far.

@@ -20,6 +20,7 @@ readiness, path conditions, and the wait queues of the locks themselves.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import SimulationError
@@ -90,6 +91,12 @@ class Mutex:
     context-switch overhead paid by a woken waiter — the "greater CPU
     utilization due to process context switch and scheduling cost" that
     Algorithm 2 trades for not spinning.
+
+    The wait queue is a heap of ``(key, arrival, ticket, waiter)``, the key
+    taken once, when the waiter queues: always 0 here, so arrival alone
+    orders it (:class:`PriorityMutex` keys by priority).  A release pops
+    entries until it finds a ticket whose waiter is still waiting; the
+    tickets of waiters interrupted while queued are dropped on the way.
     """
 
     def __init__(self, engine: "Simulator", name: str = "mutex",
@@ -98,9 +105,15 @@ class Mutex:
         self.name = name
         self.wake_cost_ns = wake_cost_ns
         self.owner: "Process | None" = None
-        self._wait_queue: list[Completion] = []
+        self._wait_queue: list[tuple[int, int, Completion, "Process"]] = []
+        self._arrivals = 0
         self.contended_acquires = 0
         self.total_acquires = 0
+
+    @staticmethod
+    def _key(process: "Process") -> int:
+        """Queue key of a waiter, before its arrival order."""
+        return 0
 
     @property
     def locked(self) -> bool:
@@ -114,14 +127,17 @@ class Mutex:
         """
         process = self._engine.current_process
         if process is None:
-            raise SimulationError(f"mutex {self.name!r} acquired outside a process")
+            raise SimulationError(f"lock {self.name!r} acquired outside a process")
         self.total_acquires += 1
         if self.owner is None:
             self.owner = process
             return None
         self.contended_acquires += 1
         ticket = Completion(self._engine, name=f"{self.name}.ticket")
-        self._wait_queue.append(ticket)
+        arrival = self._arrivals
+        self._arrivals = arrival + 1
+        heappush(self._wait_queue,
+                 (self._key(process), arrival, ticket, process))
         yield Wait(ticket)
         # Ownership was transferred to us by release(); pay the wake cost.
         # An interrupt landing here must hand the lock on, not leak it.
@@ -136,106 +152,45 @@ class Mutex:
     def release(self) -> None:
         """Release the lock, handing it to the first *live* queued waiter.
 
-        Tickets whose waiter was interrupted while queued are skipped.
-        """
-        if self.owner is None:
-            raise SimulationError(f"release of unlocked mutex {self.name!r}")
-        self.owner = None
-        while self._wait_queue:
-            ticket = self._wait_queue.pop(0)
-            if ticket._waiters:
-                # Direct handoff: the woken waiter owns the lock before it
-                # runs, keeping the queue strictly FIFO with no barging.
-                self.owner = ticket._waiters[0]
-                ticket.fire(None)
-                return
-
-    def __repr__(self) -> str:
-        holder = self.owner.name if self.owner else None
-        return f"Mutex({self.name!r}, owner={holder!r}, queued={len(self._wait_queue)})"
-
-
-class PriorityMutex:
-    """A sleeping lock whose release picks the highest-priority waiter.
-
-    Models priority-aware resource queues such as I/O scheduling classes
-    (``ioprio_set``): when the lock is released, the queued process with
-    the numerically lowest priority is granted ownership; FIFO breaks ties.
-    The waiter's priority is sampled at release time, so a priority boost
-    applied while a process waits still takes effect.
-    """
-
-    def __init__(self, engine: "Simulator", name: str = "priority-mutex",
-                 wake_cost_ns: int = MUTEX_WAKE_COST_NS):
-        self._engine = engine
-        self.name = name
-        self.wake_cost_ns = wake_cost_ns
-        self.owner: "Process | None" = None
-        # (ticket, waiter) in arrival order, which is the FIFO tie-break.
-        self._wait_queue: list[tuple[Completion, "Process"]] = []
-        self.total_acquires = 0
-        self.contended_acquires = 0
-
-    @property
-    def locked(self) -> bool:
-        """True while some process owns the lock."""
-        return self.owner is not None
-
-    def acquire(self) -> "ProcessGenerator":
-        """Generator helper: ``yield from lock.acquire()`` (sleeps if held)."""
-        process = self._engine.current_process
-        if process is None:
-            raise SimulationError(f"lock {self.name!r} acquired outside a process")
-        self.total_acquires += 1
-        if self.owner is None:
-            self.owner = process
-            return None
-        self.contended_acquires += 1
-        ticket = Completion(self._engine, name=f"{self.name}.ticket")
-        self._wait_queue.append((ticket, process))
-        yield Wait(ticket)
-        # An interrupt landing on the wake cost must hand the lock on.
-        if self.wake_cost_ns:
-            try:
-                yield Compute(self.wake_cost_ns)
-            except BaseException:
-                self.release()
-                raise
-        return None
-
-    def release(self) -> None:
-        """Release; ownership passes to the best *live* queued waiter.
-
-        One pass over the wait queue compacts it in place, dropping tickets
-        whose waiter was interrupted while queued, and keeps the first live
-        waiter of the lowest priority: the queue is in arrival order, so
-        that is the lowest ``(priority, arrival)``.
+        Direct handoff: the woken waiter owns the lock before it runs, so
+        no later acquirer can barge ahead of the queue.
         """
         if self.owner is None:
             raise SimulationError(f"release of unlocked lock {self.name!r}")
         self.owner = None
         queue = self._wait_queue
-        kept = 0
-        best = -1
-        best_priority = 0
-        for entry in queue:
-            if entry[0]._waiters:
-                priority = entry[1].priority
-                if best < 0 or priority < best_priority:
-                    best = kept
-                    best_priority = priority
-                queue[kept] = entry
-                kept += 1
-        del queue[kept:]
-        if best >= 0:
-            ticket, process = queue.pop(best)
-            self.owner = process
-            ticket.fire(None)
+        while queue:
+            _, _, ticket, process = heappop(queue)
+            if ticket._waiters:
+                self.owner = process
+                ticket.fire(None)
+                return
 
     def __repr__(self) -> str:
         holder = self.owner.name if self.owner else None
-        return (f"PriorityMutex({self.name!r}, owner={holder!r}, "
-                f"queued={len(self._wait_queue)})")
+        queued = sum(1 for entry in self._wait_queue if entry[2]._waiters)
+        return (f"{type(self).__name__}({self.name!r}, owner={holder!r}, "
+                f"queued={queued})")
+
+
+class PriorityMutex(Mutex):
+    """A sleeping lock whose release picks the highest-priority waiter.
+
+    Models priority-aware resource queues such as I/O scheduling classes
+    (``ioprio_set``): when the lock is released, the queued process with
+    the numerically lowest priority is granted ownership; FIFO breaks ties.
+    A waiter's priority is read once, when it queues.  Nothing changes a
+    process's priority after it is spawned (the BB Manager sets it at
+    spawn), so that is the priority it has at every release.
+    """
+
+    def __init__(self, engine: "Simulator", name: str = "priority-mutex",
+                 wake_cost_ns: int = MUTEX_WAKE_COST_NS):
+        super().__init__(engine, name, wake_cost_ns)
+
+    @staticmethod
+    def _key(process: "Process") -> int:
+        return process.priority
 
 
 class SpinLock:
@@ -272,15 +227,6 @@ class SpinLock:
     def locked(self) -> bool:
         """True while the lock is held."""
         return self._held
-
-    def try_acquire(self) -> bool:
-        """Non-blocking attempt; True on success (no ticket taken)."""
-        if not self._held and not self._tickets:
-            self._held = True
-            self.owner = self._engine.current_process
-            self.total_acquires += 1
-            return True
-        return False
 
     def acquire(self) -> "ProcessGenerator":
         """Generator helper: spin (burning CPU) until the lock is granted.
@@ -327,36 +273,3 @@ class SpinLock:
         holder = self.owner.name if self.owner else None
         return f"SpinLock({self.name!r}, owner={holder!r}, spinners={len(self._tickets)})"
 
-
-class Semaphore:
-    """A counting semaphore with sleeping waiters (FIFO)."""
-
-    def __init__(self, engine: "Simulator", count: int, name: str = "semaphore"):
-        if count < 0:
-            raise SimulationError(f"semaphore count cannot be negative: {count}")
-        self._engine = engine
-        self.name = name
-        self.count = count
-        self._wait_queue: list[Completion] = []
-
-    def acquire(self) -> "ProcessGenerator":
-        """Generator helper: take one permit, sleeping if none available."""
-        if self.count > 0:
-            self.count -= 1
-            return None
-        ticket = Completion(self._engine, name=f"{self.name}.ticket")
-        self._wait_queue.append(ticket)
-        yield Wait(ticket)
-        return None
-
-    def release(self) -> None:
-        """Return one permit, waking the first *live* queued waiter if any."""
-        while self._wait_queue:
-            ticket = self._wait_queue.pop(0)
-            if ticket._waiters:
-                ticket.fire(None)
-                return
-        self.count += 1
-
-    def __repr__(self) -> str:
-        return f"Semaphore({self.name!r}, count={self.count}, queued={len(self._wait_queue)})"

@@ -16,7 +16,7 @@ from repro.core.config import BBConfig
 from repro.errors import AnalysisError
 from repro.faults.plan import FaultPlan
 from repro.graph.critical_path import critical_path
-from repro.initsys.preparser import PreParser, registry_text_stats
+from repro.initsys.preparser import registry_text_stats
 from repro.initsys.units import SimCost, Unit
 from repro.quantities import msec
 from repro.runner.jobs import SimJob
@@ -87,7 +87,7 @@ def test_text_stats_cache_gives_identical_prediction():
     wl = opensource_tv_workload()
     baseline = predict(wl, BBConfig.none(), cores=4)
     registry = opensource_tv_workload().fresh_registry()
-    stats = registry_text_stats(registry, PreParser())
+    stats = registry_text_stats(registry)
     cached = predict(opensource_tv_workload(), BBConfig.none(), cores=4,
                      text_stats=stats)
     assert cached.boot_complete_ns == baseline.boot_complete_ns

@@ -29,20 +29,6 @@ def test_group_is_requires_closure_only():
     assert "dbus.service" in isolator.group
 
 
-def test_extra_members_are_added():
-    registry = mini_tv_registry()
-    isolator = BBGroupIsolator(registry, ("fasttv.service",),
-                               extra_members=["messenger.service"])
-    assert "messenger.service" in isolator.group
-
-
-def test_nonexistent_extra_members_ignored():
-    registry = mini_tv_registry()
-    isolator = BBGroupIsolator(registry, ("fasttv.service",),
-                               extra_members=["ghost.service"])
-    assert "ghost.service" not in isolator.group
-
-
 def test_edge_filter_drops_outside_in_edges_only():
     registry = build_tv_registry()
     isolator = BBGroupIsolator(registry, TV_COMPLETION_UNITS)

@@ -1,11 +1,10 @@
 """Tests for the Pre-parser cache (§3.3 / Fig. 6(d))."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.hw.presets import emmc_ue48h6200
-from repro.initsys.preparser import (PreParsedCache, PreParser,
-                                     dependency_edge_count,
+from repro.initsys import preparser
+from repro.initsys.preparser import (PARSE_BASE_NS, PARSE_PER_BYTE_NS,
+                                     RESOLVE_PER_EDGE_NS, PreParsedCache,
+                                     build_cache, dependency_edge_count,
                                      registry_fingerprint,
                                      registry_text_stats)
 from repro.initsys.registry import UnitRegistry
@@ -33,11 +32,9 @@ def test_edge_count_counts_all_reference_kinds():
 
 def test_cache_is_smaller_than_text():
     registry = make_registry()
-    preparser = PreParser()
-    cache = preparser.build_cache(registry)
+    cache = build_cache(registry)
     assert cache.unit_count == len(registry)
-    assert cache.blob_bytes < registry_text_stats(
-        registry, preparser).total_text_bytes
+    assert cache.blob_bytes < registry_text_stats(registry).total_text_bytes
     assert cache.edge_count == dependency_edge_count(registry)
     assert cache.fingerprint == registry_fingerprint(registry)
 
@@ -45,11 +42,10 @@ def test_cache_is_smaller_than_text():
 def load_time(registry, cached):
     sim = Simulator(cores=1, switch_cost_ns=0)
     storage = emmc_ue48h6200().attach(sim)
-    preparser = PreParser()
 
     def loader():
         if cached:
-            cache = preparser.build_cache(registry)
+            cache = build_cache(registry)
             yield from preparser.load_from_cache(sim, cache, storage)
         else:
             yield from preparser.load_from_text(sim, registry, storage)
@@ -75,9 +71,8 @@ def test_text_load_records_the_two_fig6d_phases():
 
 
 def test_costs_scale_with_unit_count():
-    preparser = PreParser()
-    small = registry_text_stats(make_registry(units=20), preparser)
-    large = registry_text_stats(make_registry(units=80), preparser)
+    small = registry_text_stats(make_registry(units=20))
+    large = registry_text_stats(make_registry(units=80))
     assert (preparser.text_loading_cpu_ns(large)
             > 3 * preparser.text_loading_cpu_ns(small))
     assert (preparser.text_parsing_cpu_ns(large)
@@ -86,25 +81,16 @@ def test_costs_scale_with_unit_count():
 
 def test_text_stats_charge_each_unit_its_parse_cost():
     registry = make_registry(units=5)
-    preparser = PreParser(parse_base_ns=1_000, parse_per_byte_ns=0.5)
-    stats = registry_text_stats(registry, preparser)
+    stats = registry_text_stats(registry)
     sizes = [len(registry.dump_unit_text(name).encode())
              for name in registry.names]
     assert stats.unit_count == 5
     assert stats.total_text_bytes == sum(sizes)
-    assert stats.parse_text_ns == sum(1_000 + round(0.5 * n) for n in sizes)
+    assert stats.parse_text_ns == sum(
+        PARSE_BASE_NS + round(PARSE_PER_BYTE_NS * n) for n in sizes)
     assert preparser.text_parsing_cpu_ns(stats) == (
         stats.parse_text_ns
-        + preparser.resolve_per_edge_ns * dependency_edge_count(registry))
-
-
-def test_invalid_configuration_rejected():
-    with pytest.raises(ConfigurationError):
-        PreParser(file_op_ns=-1)
-    with pytest.raises(ConfigurationError):
-        PreParser(cache_compression=0.0)
-    with pytest.raises(ConfigurationError):
-        PreParser(cache_compression=1.5)
+        + RESOLVE_PER_EDGE_NS * dependency_edge_count(registry))
 
 
 def test_cache_dataclass_holds_figures():
@@ -117,12 +103,12 @@ class TestCacheInvalidation:
 
     def test_fresh_cache_matches(self):
         registry = make_registry()
-        cache = PreParser().build_cache(registry)
+        cache = build_cache(registry)
         assert cache.is_fresh(registry)
 
     def test_updated_service_invalidates(self):
         registry = make_registry()
-        cache = PreParser().build_cache(registry)
+        cache = build_cache(registry)
         updated = registry.get("u1.service")
         from repro.initsys.units import replace_unit
 
@@ -133,7 +119,7 @@ class TestCacheInvalidation:
 
     def test_added_service_invalidates(self):
         registry = make_registry()
-        cache = PreParser().build_cache(registry)
+        cache = build_cache(registry)
         registry.add(Unit(name="new.service"))
         assert not cache.is_fresh(registry)
 
@@ -146,7 +132,7 @@ class TestCacheInvalidation:
         from tests.fixtures import COMPLETION_UNITS, boot_mini_tv, mini_tv_registry
 
         # Cache built against a DIFFERENT registry: stale by construction.
-        stale_cache = PreParser().build_cache(make_registry())
+        stale_cache = build_cache(make_registry())
         config = ManagerConfig(completion_units=COMPLETION_UNITS,
                                use_preparser=True)
         sim, manager = boot_mini_tv(config, cache=stale_cache)

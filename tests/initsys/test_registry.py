@@ -95,10 +95,10 @@ def test_dangling_references_reported():
 
 
 def test_total_text_bytes_positive():
-    from repro.initsys.preparser import PreParser, registry_text_stats
+    from repro.initsys.preparser import registry_text_stats
 
     registry = make_registry()
-    stats = registry_text_stats(registry, PreParser())
+    stats = registry_text_stats(registry)
     assert stats.total_text_bytes == sum(
         len(registry.dump_unit_text(name).encode()) for name in registry.names)
     assert stats.total_text_bytes > 0

@@ -145,11 +145,3 @@ def test_mode_sampled_at_call_entry():
     sim.spawn(caller(), name="c")
     sim.run()
     assert durations[0] < durations[1]
-
-
-def test_invalid_grace_periods_rejected():
-    sim = Simulator()
-    with pytest.raises(KernelError):
-        RCUSubsystem(sim, grace_period_ns=0)
-    with pytest.raises(KernelError):
-        RCUSubsystem(sim, grace_period_ns=msec(1), expedited_grace_period_ns=msec(2))

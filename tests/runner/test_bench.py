@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.runner.bench import (BOOT_CASES, _drive_queue, bench_cache,
                                 bench_checkpoint, bench_design_space,
                                 bench_event_queue, bench_fleet, build_record,
@@ -68,3 +70,13 @@ def test_record_roundtrips_as_json(tmp_path):
     # The completion leg is part of the same timed boots as des_ms.
     assert all(0 < boot["des_complete_ms"] <= boot["des_ms"]
                for boot in boots.values())
+
+
+def test_failed_write_keeps_the_previous_record(tmp_path):
+    """A record that cannot be serialized leaves the last one whole."""
+    path = tmp_path / "BENCH_runner.json"
+    write_record({"code_version": "x", "z": 1}, str(path))
+    with pytest.raises(TypeError):
+        write_record({"code_version": "y", "z": object()}, str(path))
+    assert json.loads(path.read_text()) == {"code_version": "x", "z": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_runner.json"]

@@ -16,8 +16,8 @@ from repro.core.degraded import DegradedBootReport
 from repro.errors import SimulationError
 from repro.faults import (DeferredFault, FaultPlan, PathFault, ServiceFault,
                           SettleFault)
-from repro.runner import (BranchRunner, CheckpointSpec, ResultCache, SimJob,
-                          SweepRunner, canonical_bytes, execute_job)
+from repro.runner import (BranchRunner, ResultCache, SimJob, SweepRunner,
+                          canonical_bytes, execute_job)
 from repro.runner.branch import BACKEND_FORK, BACKEND_REPLAY, PROBE_KEY
 from repro.workloads import opensource_tv_workload
 from repro.workloads.tizen_tv import perturbed_tv_workload
@@ -68,14 +68,9 @@ class TestFingerprintFactoring:
         plan = FaultPlan(seed=1, deferred=(
             DeferredFault(task="*", fail_attempts=1),))
         plain = _boot(plan)
-        tuned = _boot(plan, checkpoint=CheckpointSpec(divergence_ns=5),
-                      label="tuned")
+        tuned = _boot(plan, label="tuned")
         assert plain.fingerprint() == tuned.fingerprint()
         assert plain.prefix_fingerprint() == tuned.prefix_fingerprint()
-
-    def test_checkpoint_spec_rejects_negative_divergence(self):
-        with pytest.raises(SimulationError):
-            CheckpointSpec(divergence_ns=-1)
 
 
 class TestBranchability:
@@ -92,15 +87,11 @@ class TestBranchability:
         assert not SimJob.recover(opensource_tv_workload).branchable()
         assert not SimJob.kernel(None).branchable()
 
-    def test_spec_opt_out(self):
-        assert not _boot(checkpoint=CheckpointSpec(enabled=False)).branchable()
-
     def test_prefix_job_strips_divergent_inputs(self):
         job = _boot(FaultPlan(seed=5, deferred=(
             DeferredFault(task="*", fail_attempts=1),)), label="cell")
         prefix = job.prefix_job()
         assert prefix.fault_plan is None
-        assert prefix.checkpoint is None
         assert prefix.prefix_fingerprint() == job.prefix_fingerprint()
 
     def test_partition_routes_small_groups_to_rest(self):

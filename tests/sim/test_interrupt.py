@@ -3,8 +3,8 @@
 import pytest
 
 from repro.quantities import msec, usec
-from repro.sim import (Compute, CpuStats, Interrupted, Mutex, Semaphore,
-                       Simulator, SpinLock, Timeout, Wait)
+from repro.sim import (Compute, CpuStats, Interrupted, Mutex, Simulator,
+                       SpinLock, Timeout, Wait)
 from repro.sim.sync import PriorityMutex
 from repro.verify.monitor import InvariantMonitor
 
@@ -428,27 +428,6 @@ def test_spinner_generator_resumes_at_most_twice_per_acquire(
     *_, resumes, _monitor = _queued_spinners_scenario(cores, spin_slice_ns)
     assert sorted(resumes) == ["a", "b", "c", "d"]
     assert max(resumes.values()) <= 2
-
-
-def test_interrupted_semaphore_waiter_does_not_lose_permit():
-    sim = Simulator(cores=4, switch_cost_ns=0)
-    sem = Semaphore(sim, count=1)
-    acquired = []
-
-    def worker(name, delay):
-        yield Timeout(delay)
-        yield from sem.acquire()
-        acquired.append(name)
-        yield Timeout(msec(10))
-        sem.release()
-
-    sim.spawn(worker("first", 0), name="first")
-    victim = sim.spawn(worker("victim", 1), name="victim")
-    sim.spawn(worker("third", 2), name="third")
-    sim.call_after(msec(5), lambda: sim.interrupt(victim))
-    sim.run()
-    assert acquired == ["first", "third"]
-    assert sem.count == 1
 
 
 def test_catch_and_continue_after_interrupt():

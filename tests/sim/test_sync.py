@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.quantities import msec
-from repro.sim import Completion, Compute, Mutex, Semaphore, Simulator, SpinLock, Timeout, Wait
+from repro.sim import Completion, Compute, Mutex, Simulator, SpinLock, Timeout, Wait
 from repro.sim.sync import PriorityMutex, wait_all
 
 
@@ -270,15 +270,6 @@ def test_spinlock_is_fifo_by_ticket():
     assert order == [0, 1, 2, 3]
 
 
-def test_spinlock_try_acquire():
-    sim = Simulator()
-    lock = SpinLock(sim)
-    assert lock.try_acquire()
-    assert not lock.try_acquire()
-    lock.release()
-    assert lock.try_acquire()
-
-
 def test_spinlock_release_unlocked_rejected():
     sim = Simulator()
     lock = SpinLock(sim)
@@ -332,8 +323,9 @@ def test_priority_mutex_fifo_within_priority():
     assert order == [0, 1, 2, 3]
 
 
-def test_priority_mutex_samples_priority_at_release():
-    """A boost applied while waiting still wins the next grant."""
+def test_priority_mutex_keys_a_waiter_when_it_queues():
+    """A waiter keeps the place it queued at: raising its priority while
+    it waits does not move it ahead of an earlier waiter."""
     sim = Simulator(cores=8, switch_cost_ns=0)
     lock = PriorityMutex(sim, wake_cost_ns=0)
     order = []
@@ -352,10 +344,10 @@ def test_priority_mutex_samples_priority_at_release():
     sim.spawn(holder(), name="holder")
     sim.spawn(waiter("first"), name="first", priority=100)
     late = sim.spawn(waiter("second"), name="second", priority=100)
-    # Boost the second waiter while it is queued.
+    # Raise the second waiter's priority while it is queued.
     sim.call_after(msec(5), lambda: setattr(late, "priority", 1))
     sim.run()
-    assert order == ["second", "first"]
+    assert order == ["first", "second"]
 
 
 def test_priority_mutex_release_unlocked_rejected():
@@ -369,38 +361,3 @@ def test_priority_mutex_acquire_outside_process_rejected():
     with pytest.raises(SimulationError):
         list(PriorityMutex(sim).acquire())
 
-
-# ----------------------------------------------------------------- Semaphore
-
-def test_semaphore_limits_concurrency():
-    sim = Simulator(cores=8, switch_cost_ns=0)
-    sem = Semaphore(sim, count=2)
-    concurrent = [0]
-    worst = [0]
-
-    def worker():
-        yield from sem.acquire()
-        concurrent[0] += 1
-        worst[0] = max(worst[0], concurrent[0])
-        yield Timeout(msec(1))
-        concurrent[0] -= 1
-        sem.release()
-
-    for n in range(6):
-        sim.spawn(worker(), name=f"w{n}")
-    sim.run()
-    assert worst[0] == 2
-    assert sim.now == msec(3)
-
-
-def test_semaphore_negative_count_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Semaphore(sim, count=-1)
-
-
-def test_semaphore_release_without_waiters_increments():
-    sim = Simulator()
-    sem = Semaphore(sim, count=0)
-    sem.release()
-    assert sem.count == 1
