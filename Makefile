@@ -1,6 +1,6 @@
 # Convenience targets for the BB reproduction.
 
-.PHONY: install test test-fast coverage verify recover predict predicted bench bench-smoke perfbench-test boot-reference sweep-reference experiment-reference fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
+.PHONY: install test test-fast coverage verify recover predict predicted branch-identity bench bench-smoke perfbench-test boot-reference sweep-reference experiment-reference fleet-smoke fleet-crash-smoke generations-smoke experiments artifacts examples clean
 
 PYTEST = PYTHONPATH=src python -m pytest
 
@@ -42,6 +42,13 @@ predict:
 # cache's bit identity with direct predict().
 predicted:
 	PYTHONPATH=src python -m repro verify --only predicted
+
+# Branched == from-scratch on the full 12-cell identity matrix, on the
+# replay backend at 1 and 2 workers and the fork backend at 1, 2 and 4
+# (the full profile of the `branch-identity` verify group; the smoke
+# profile in `make verify` runs 8 cells, fork at 1 and 2 only).
+branch-identity:
+	PYTHONPATH=src python -m repro verify --only branch-identity
 
 # The paper-artifact benchmarks (needs pytest-benchmark): each asserts
 # its paper number, e.g. Fig. 1's 8.1 s boot within 5%.

@@ -133,11 +133,11 @@ class BootSimulation:
     def start(self) -> None:
         """Set up the simulator and schedule the boot, without running it.
 
-        Split out of :meth:`run` for checkpoint/fork branching: after
-        ``start()`` the caller may drive ``self.sim.run(until_ns=...)`` to
-        pause the boot at an exact sim time, fork, :meth:`install_plan`,
-        and :meth:`complete` — the paused event stream is identical to an
-        uninterrupted run's, so branches are byte-reproducible.
+        Split out of :meth:`run` for callers that drive the simulator
+        themselves: after ``start()`` they may run
+        ``self.sim.run(until_ns=...)`` to an exact sim time (``repro
+        bench`` stops at boot completion) and later :meth:`complete`; a
+        paused event stream is identical to an uninterrupted run's.
 
         Raises:
             SimulationError: If called twice.
@@ -180,8 +180,9 @@ class BootSimulation:
 
         Compiles the plan and installs it as the slot's delegate, so every
         later fault query — and the stats tally — behaves exactly as in a
-        from-scratch run of the plan.  Only meaningful between
-        :meth:`start` and :meth:`complete` on a slot-equipped simulation.
+        from-scratch run of the plan.  A branch calls it from the slot's
+        observer, at the plan's first perturbed query, which the new
+        injector then answers.
         """
         if self.injector_slot is None:
             raise SimulationError("install_plan() needs an injector_slot")
@@ -218,9 +219,30 @@ class BootSimulation:
             # A healthy boot must be quiescent: no deadlocked waiters, and
             # deferred work strictly after boot completion.
             self.monitor.finish(self)
-        return self._build_report()
+        report = self._build_report()
+        self._close_parked_processes()
+        return report
 
     # ------------------------------------------------------------ internals
+
+    def _close_parked_processes(self) -> None:
+        """Close the generators a finished (typically degraded) boot left
+        suspended, rather than leave their clean-ups, which release this
+        boot's locks, to the garbage collector in some later simulation.
+
+        Each process is first detached from the completion it waits on,
+        so no release can hand a lock to a waiter: closing resumes no
+        process, pushes no event and moves no scheduler counter.
+        """
+        assert self.sim is not None
+        parked = [process for process in self.sim.processes if process.alive]
+        for process in parked:
+            completion = process._waiting_on
+            if completion is not None:
+                completion._waiters.remove(process)
+                process._waiting_on = None
+        for process in parked:
+            process._gen.close()
 
     def _boot(self, sim: Simulator, registry, core_engine: CoreEngine,
               bootup_engine: BootupEngine,
@@ -257,6 +279,7 @@ class BootSimulation:
             features=self.bb.enabled_features(),
             injector=self.fault_injector, wedged=wedged,
             time_ns=self.sim.now)
+        self._close_parked_processes()
         return DegradedBootError(report)
 
     def _build_report(self) -> BootReport:

@@ -106,8 +106,8 @@ def run(runner: SweepRunner | None = None,
 
     ``branch=True`` (only honored when no ``runner`` is supplied) routes
     the sweep through the checkpoint/fork engine: cells sharing a boot
-    prefix run as one recorded prefix plus forked suffixes — same
-    results, fewer full boots.
+    prefix run as one trunk boot plus forked branches — same results,
+    fewer full boots.
     """
     runner = runner if runner is not None else SweepRunner(branch=branch)
     presets = SMOKE_PRESETS if smoke else tuple(PRESETS)

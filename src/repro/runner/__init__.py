@@ -21,8 +21,9 @@ This package exploits that:
   them out over a ``ProcessPoolExecutor`` (``jobs=1`` is a strictly
   serial, deterministic fallback),
 * :class:`~repro.runner.branch.BranchRunner` — the checkpoint/fork
-  engine: jobs sharing a prefix fingerprint run as one recorded prefix
-  boot plus cheap copy-on-write suffixes (``SweepRunner(branch=True)``),
+  engine: jobs sharing a prefix fingerprint run as one fault-free trunk
+  boot that forks a copy-on-write child per cell at the cell's first
+  perturbed fault query (``SweepRunner(branch=True)``),
 * :mod:`~repro.runner.bench` — the engine/cache microbenchmarks, the
   checkpoint benchmark and the serial-vs-parallel sweep benchmark behind
   ``python -m repro bench``.

@@ -1,35 +1,32 @@
-"""Checkpoint/fork branch execution: one shared prefix, many suffixes.
+"""Checkpoint/fork branch execution: one trunk boot, many branches.
 
 :class:`BranchRunner` executes a group of boot jobs that share a prefix
 fingerprint (same workload/config, different fault plans) as **one**
-recorded null boot plus cheap divergent suffixes, instead of ``N`` full
-boots.  The pipeline (see :mod:`repro.sim.checkpoint` for why this is
-byte-exact):
+fault-free trunk boot plus cheap divergent branches, instead of ``N``
+full boots.  The pipeline (see :mod:`repro.sim.checkpoint` for why this
+is byte-exact):
 
-1. **Probe** — boot the group's null prefix job once with a recording
-   :class:`~repro.sim.checkpoint.InjectorSlot`, capturing every fault
-   query with its sim time plus the completed master report.  The probe
-   is cached under ``probe:<prefix_fingerprint>`` in the shared
-   :class:`~repro.runner.cache.ResultCache`, so later sweeps over the
-   same prefix skip it entirely.
-2. **Divergence** — replay the recorded queries through each cell's
-   compiled injector (:func:`~repro.sim.checkpoint.first_divergence`);
-   the first perturbed answer's timestamp is where the cell's run stops
-   being the null run.  Cells that never diverge are answered from the
-   master report directly (their runs *are* the null run, modulo the
-   all-zero fault tally); the null cell gets the master report itself.
-3. **Branch** — boot the null prefix a second time, pausing the event
-   loop just before each distinct divergence time (ascending).  At each
-   pause the ``fork`` backend ``os.fork()``\\ s one copy-on-write child
-   per cell due there; the child swaps the cell's injector into the
-   slot, runs the suffix to quiescence, and pipes the pickled report
-   back.  The ``replay`` backend does the same swap in-process on a
-   per-cell prefix replay — no speedup, same code path, for platforms
-   without ``fork`` and for byte-identity cross-checks.
+1. **Trunk** — boot the group's null prefix job once through an
+   :class:`~repro.sim.checkpoint.InjectorSlot` whose observer sees every
+   fault query before the slot answers it.
+2. **Divergence** — at each query, the observer checks every still
+   pending cell's throwaway injector against that one query
+   (:func:`~repro.sim.checkpoint.first_divergence`).
+3. **Branch** — for each cell the query perturbs, the ``fork`` backend
+   ``os.fork()``\\ s a copy-on-write child on the spot.  The child
+   installs the cell's plan, answers this query from the cell's own
+   injector, runs to quiescence as that cell and pipes the pickled report
+   back, while the parent trunk keeps answering null.  The ``replay``
+   backend runs the same trunk once per cell, carrying only that cell,
+   and installs the plan in-process at the cell's first perturbed query —
+   no speedup, same code path, for platforms without ``fork`` and for
+   byte-identity cross-checks.
 
-A child that dies or errors falls back to a from-scratch
-:func:`~repro.runner.jobs.execute_job`, so branching can degrade but
-never lose a cell.
+The null cell gets the trunk's report; a cell whose plan never perturbs
+a query gets that report with its own all-zero fault tally.  A child
+that dies or errors falls back to a from-scratch
+:func:`~repro.runner.jobs.execute_job`, and so do the cells still waiting
+on a trunk that degrades, so branching can degrade but never lose a cell.
 """
 
 from __future__ import annotations
@@ -41,22 +38,17 @@ import selectors
 import traceback
 from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
-from typing import Any, Callable
+from typing import Any, NoReturn
 
 from repro.errors import SimulationError
-from repro.runner.cache import ResultCache
 from repro.runner.jobs import SimJob, execute_job, make_boot_simulation
 from repro.sim.checkpoint import InjectorSlot, first_divergence
 
 #: Branch backends.  ``fork`` is the fast path (copy-on-write children);
-#: ``replay`` re-runs the prefix per cell in-process and exists for
+#: ``replay`` runs one trunk per cell in-process and exists for
 #: non-forkable platforms and identity cross-checks.
 BACKEND_FORK = "fork"
 BACKEND_REPLAY = "replay"
-
-#: Cache-key namespace for prefix probes.  Job fingerprints are bare hex
-#: digests, so the ``probe:`` prefix can never collide with a result key.
-PROBE_KEY = "probe:"
 
 
 def canonical_bytes(value: Any) -> bytes:
@@ -102,23 +94,19 @@ class BranchStats:
 
     Attributes:
         groups: Prefix groups executed via branching.
-        probe_boots: Full null boots run to record prefix queries.
-        probe_cache_hits: Probes served from the result cache instead.
-        prefix_boots: Partial null boots driven to pause points (one per
-            group under ``fork``; one per cell under ``replay``).
+        prefix_boots: Trunk boots run (one per group under ``fork``; one
+            per cell under ``replay``).
         branched: Cells resolved by branching (forked + replayed +
             no-divergence).
         forked: Cells executed in copy-on-write fork children.
-        replayed: Cells executed via in-process prefix replay.
-        no_divergence: Cells answered from the master report because
-            their plan never perturbs a prefix query.
-        fallbacks: Cells that fell back to a from-scratch run (probe
-            degraded, or a fork child failed).
+        replayed: Cells executed in-process on their own trunk.
+        no_divergence: Cells answered from a trunk's report because their
+            plan perturbs no query the trunk asks.
+        fallbacks: Cells that fell back to a from-scratch run (their trunk
+            degraded before they diverged, or their fork child failed).
     """
 
     groups: int = 0
-    probe_boots: int = 0
-    probe_cache_hits: int = 0
     prefix_boots: int = 0
     branched: int = 0
     forked: int = 0
@@ -143,45 +131,36 @@ class _ForkPool:
         self._cells: dict[int, tuple[str, int]] = {}  # read fd -> (fp, pid)
         self.outcomes: dict[str, tuple[str, Any]] = {}
 
-    def __len__(self) -> int:
-        return len(self._cells)
+    def fork(self, fingerprint: str) -> int | None:
+        """Fork a child for ``fingerprint``, waiting for a free slot first.
 
-    def submit(self, fingerprint: str, suffix_fn: Callable[[], Any]) -> None:
-        """Fork a child running ``suffix_fn``, waiting for a slot first."""
+        Returns ``None`` in the parent.  In the child it returns the write
+        end of the pipe: the child must send its one outcome down it with
+        :func:`_exit_child`, and must not touch this pool again.
+        """
         while len(self._cells) >= self.max_children:
-            self._drain(block=True)
+            self._drain()
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
-            # Child: never touch parent state, never run atexit handlers.
             os.close(read_fd)
-            try:
-                payload = pickle.dumps(("ok", suffix_fn()),
-                                       protocol=pickle.HIGHEST_PROTOCOL)
-            except BaseException:  # noqa: BLE001 - marshalled to the parent
-                payload = pickle.dumps(("err", traceback.format_exc()),
-                                       protocol=pickle.HIGHEST_PROTOCOL)
-            try:
-                with os.fdopen(write_fd, "wb") as sink:
-                    sink.write(payload)
-            finally:
-                os._exit(0)
+            return write_fd
         os.close(write_fd)
         os.set_blocking(read_fd, False)
         self._selector.register(read_fd, selectors.EVENT_READ)
         self._buffers[read_fd] = bytearray()
         self._cells[read_fd] = (fingerprint, pid)
+        return None
 
     def drain(self) -> dict[str, tuple[str, Any]]:
-        """Wait for every outstanding child; returns fp -> (status, value)."""
+        """Reap every outstanding child; returns fp -> (status, value)."""
         while self._cells:
-            self._drain(block=True)
+            self._drain()
         self._selector.close()
         return self.outcomes
 
-    def _drain(self, block: bool) -> None:
-        timeout = None if block else 0
-        for key, _events in self._selector.select(timeout=timeout):
+    def _drain(self) -> None:
+        for key, _events in self._selector.select():
             fd = key.fd
             while True:
                 try:
@@ -207,43 +186,100 @@ class _ForkPool:
                        f"{len(payload)} undecodable bytes")
 
 
-def _run_suffix(prefix, fault_plan) -> Any:
-    """Swap ``fault_plan`` into a paused prefix and run it to the end."""
-    from repro.core.degraded import DegradedBootError
-
-    prefix.install_plan(fault_plan)
+def _exit_child(pipe: int, outcome: tuple[str, Any]) -> NoReturn:
+    """Send a fork child's one outcome down its pipe, then ``_exit``."""
     try:
-        return prefix.complete()
-    except DegradedBootError as exc:
-        return exc.report
+        try:
+            payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        except BaseException:  # noqa: BLE001 - marshalled to the parent
+            payload = pickle.dumps(("err", traceback.format_exc()),
+                                   protocol=pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(pipe, "wb") as sink:
+            sink.write(payload)
+    finally:
+        # Never run the parent's atexit handlers or unwind into its caller.
+        os._exit(0)
+
+
+class _Trunk:
+    """One fault-free trunk boot and the observer that branches its cells.
+
+    The observer sees every fault query the trunk asks.  A cell whose
+    throwaway injector perturbs the query branches there: with a fork
+    pool the parent forks a child that becomes the cell and keeps
+    answering null itself; without one the trunk becomes the cell
+    in-process (the replay backend carries one cell per trunk).
+    """
+
+    def __init__(self, prefix_job: SimJob, cells: list[tuple[str, SimJob]],
+                 pool: _ForkPool | None):
+        self.pool = pool
+        self.slot = InjectorSlot(observer=self._observe)
+        self.simulation = make_boot_simulation(prefix_job,
+                                               injector_slot=self.slot)
+        #: (fingerprint, job, throwaway injector; None for the null cell)
+        self.pending = [(fp, job, job.fault_plan.compile()
+                         if job.fault_plan is not None else None)
+                        for fp, job in cells]
+        #: The cell this run became, if it branched in this process.
+        self.became: str | None = None
+        #: In a fork child: the write end of its pipe.
+        self.pipe: int | None = None
+
+    def _observe(self, record: tuple[Any, ...]) -> None:
+        pending, diverged = [], []
+        for cell in self.pending:
+            probe = cell[2]
+            if (probe is not None
+                    and first_divergence((record,), probe) is not None):
+                diverged.append(cell)
+            else:
+                pending.append(cell)
+        self.pending = pending
+        for fingerprint, job, _probe in diverged:
+            if self.pool is not None:
+                pipe = self.pool.fork(fingerprint)
+                if pipe is None:
+                    continue  # the parent trunk keeps answering null
+                self.pipe = pipe
+            self.became = fingerprint
+            self.simulation.install_plan(job.fault_plan)
+            return
+
+    def run(self) -> Any:
+        """Boot to the end: a report or post-mortem, or ``None`` for a
+        trunk that degraded before it became a cell."""
+        from repro.core.degraded import DegradedBootError
+
+        try:
+            return self.simulation.run()
+        except DegradedBootError as exc:
+            return exc.report if self.became is not None else None
+        finally:
+            # slot -> observer -> trunk is a cycle holding every outcome.
+            self.slot.observer = None
 
 
 class BranchRunner:
-    """Executes prefix-sharing job groups as one prefix + many branches.
+    """Executes prefix-sharing job groups as one trunk + many branches.
 
     Args:
-        cache: Shared result cache; prefix probes are stored under
-            ``probe:<prefix_fingerprint>`` so they hit across sweeps.
-            ``None`` disables probe caching.
         backend: ``"fork"`` or ``"replay"``; ``None`` picks
             :func:`default_backend`.
         jobs: Maximum concurrent fork children (the replay backend is
             always serial).
         min_group: Smallest group worth branching.  A branched group
-            costs roughly one full probe boot plus a partial prefix boot
-            before any cell is saved, so groups below this threshold run
-            from scratch.
+            costs one full trunk boot plus a fork per diverging cell, so
+            groups below this threshold run from scratch.
     """
 
-    def __init__(self, cache: ResultCache | None = None,
-                 backend: str | None = None, jobs: int = 1,
+    def __init__(self, backend: str | None = None, jobs: int = 1,
                  min_group: int = 3):
         backend = backend if backend is not None else default_backend()
         if backend not in (BACKEND_FORK, BACKEND_REPLAY):
             raise SimulationError(f"unknown branch backend {backend!r}")
         if backend == BACKEND_FORK and not hasattr(os, "fork"):
             raise SimulationError("fork backend unavailable on this platform")
-        self.cache = cache
         self.backend = backend
         self.jobs = max(1, int(jobs))
         self.min_group = max(2, int(min_group))
@@ -284,121 +320,67 @@ class BranchRunner:
         if not group:
             return {}
         self.stats.groups += 1
-        template = group[0][1]
-        prefix_job = template.prefix_job()
-        probe = self._probe(prefix_job)
-        if probe is None:
-            # The null prefix itself cannot complete (degraded without any
-            # injected fault) — branching has no healthy trunk to share.
-            self.stats.fallbacks += len(group)
-            return {fp: execute_job(job) for fp, job in group}
-        records, master_report = probe
-
+        prefix_job = group[0][1].prefix_job()
         results: dict[str, Any] = {}
-        pending: list[tuple[str, SimJob, int]] = []  # (fp, job, pause time)
-        for fingerprint, job in group:
-            plan = job.fault_plan
-            divergence = (first_divergence(records, plan.compile())
-                          if plan is not None else None)
-            if plan is None:
-                results[fingerprint] = master_report
-                self.stats.no_divergence += 1
-                self.stats.branched += 1
-            elif divergence is None:
-                # The plan perturbs nothing this boot asks: the cell's run
-                # is the master run with its own (all-zero) fault tally.
-                results[fingerprint] = dataclass_replace(
-                    master_report,
-                    injected_faults=plan.compile().stats.as_dict())
-                self.stats.no_divergence += 1
-                self.stats.branched += 1
-            else:
-                # Pause strictly before the first event at the divergence
-                # time: every same-time event then runs inside the branch,
-                # in the same seq order as from scratch.
-                pending.append((fingerprint, job, divergence - 1))
-
-        if pending:
-            if self.backend == BACKEND_FORK:
-                self._run_forked(prefix_job, pending, results)
-            else:
-                self._run_replayed(prefix_job, pending, results)
+        if self.backend == BACKEND_FORK:
+            self._run_trunk(prefix_job, group, results, _ForkPool(self.jobs))
+        else:
+            for cell in group:
+                self._run_trunk(prefix_job, [cell], results, None)
         return results
 
-    def _run_forked(self, prefix_job: SimJob,
-                    pending: list[tuple[str, SimJob, int]],
-                    results: dict[str, Any]) -> None:
-        """One rolling prefix boot; fork a CoW child per cell at its pause."""
-        by_target: dict[int, list[tuple[str, SimJob]]] = {}
-        for fingerprint, job, target in pending:
-            by_target.setdefault(target, []).append((fingerprint, job))
-        jobs_by_fp = {fp: job for fp, job, _ in pending}
+    def _run_trunk(self, prefix_job: SimJob, cells: list[tuple[str, SimJob]],
+                   results: dict[str, Any], pool: _ForkPool | None) -> None:
+        """Boot one trunk carrying ``cells`` and settle each of them.
 
-        prefix = make_boot_simulation(prefix_job, injector_slot=InjectorSlot())
-        prefix.start()
+        A fork child never returns from here: it leaves through
+        :func:`_exit_child` in the ``finally`` below, whatever its run did.
+        """
+        trunk = _Trunk(prefix_job, cells, pool)
         self.stats.prefix_boots += 1
-        pool = _ForkPool(self.jobs)
-        for target in sorted(by_target):
-            if target >= 0:
-                assert prefix.sim is not None
-                prefix.sim.run(until_ns=target)
-            for fingerprint, job in by_target[target]:
-                plan = job.fault_plan
-                pool.submit(fingerprint,
-                            lambda plan=plan: _run_suffix(prefix, plan))
-        for fingerprint, (status, value) in pool.drain().items():
-            if status == "ok":
-                results[fingerprint] = value
-                self.stats.forked += 1
-                self.stats.branched += 1
-            else:
-                # A lost child costs one from-scratch run, never a cell.
-                self.stats.fallbacks += 1
-                results[fingerprint] = execute_job(jobs_by_fp[fingerprint])
+        outcome: tuple[str, Any] = ("err", "branch child left its trunk")
+        try:
+            outcome = ("ok", trunk.run())
+        except BaseException:
+            if trunk.pipe is None:
+                if pool is not None:
+                    pool.drain()  # leave no child unreaped
+                raise
+            outcome = ("err", traceback.format_exc())
+        finally:
+            if trunk.pipe is not None:
+                _exit_child(trunk.pipe, outcome)
+        report = outcome[1]
 
-    def _run_replayed(self, prefix_job: SimJob,
-                      pending: list[tuple[str, SimJob, int]],
-                      results: dict[str, Any]) -> None:
-        """Per-cell prefix replay + in-process swap (the fallback backend)."""
-        for fingerprint, job, target in pending:
-            prefix = make_boot_simulation(prefix_job,
-                                          injector_slot=InjectorSlot())
-            prefix.start()
-            self.stats.prefix_boots += 1
-            if target >= 0:
-                assert prefix.sim is not None
-                prefix.sim.run(until_ns=target)
-            assert job.fault_plan is not None
-            results[fingerprint] = _run_suffix(prefix, job.fault_plan)
+        jobs = dict(cells)
+        if trunk.became is not None:
+            results[trunk.became] = report
             self.stats.replayed += 1
             self.stats.branched += 1
+        if pool is not None:
+            for fingerprint, (status, value) in pool.drain().items():
+                if status == "ok":
+                    results[fingerprint] = value
+                    self.stats.forked += 1
+                    self.stats.branched += 1
+                else:
+                    # A lost child costs one from-scratch run, never a cell.
+                    self._fall_back(fingerprint, jobs[fingerprint], results)
+        for fingerprint, job, _probe in trunk.pending:
+            if report is None:
+                # The trunk degraded before this cell diverged.
+                self._fall_back(fingerprint, job, results)
+                continue
+            # The cell's run is the trunk's run, with the cell's own
+            # (all-zero) fault tally when it has a plan.
+            results[fingerprint] = (
+                report if job.fault_plan is None else dataclass_replace(
+                    report,
+                    injected_faults=job.fault_plan.compile().stats.as_dict()))
+            self.stats.no_divergence += 1
+            self.stats.branched += 1
 
-    # --------------------------------------------------------------- probe
-
-    def _probe(self, prefix_job: SimJob) -> tuple[list, Any] | None:
-        """Record the group's null prefix; ``None`` = degraded prefix.
-
-        Returns ``(records, master_report)``, served from the cache when a
-        previous sweep already probed this prefix fingerprint.
-        """
-        from repro.core.degraded import DegradedBootError
-
-        key = PROBE_KEY + prefix_job.prefix_fingerprint()
-        if self.cache is not None:
-            hit, value = self.cache.get(key)
-            if hit:
-                self.stats.probe_cache_hits += 1
-                return value
-        slot = InjectorSlot(record=True)
-        simulation = make_boot_simulation(prefix_job, injector_slot=slot)
-        self.stats.probe_boots += 1
-        try:
-            report = simulation.run()
-        except DegradedBootError:
-            value = None
-        else:
-            assert slot.records is not None
-            value = (slot.records, report)
-        if self.cache is not None:
-            self.cache.put(key, value)
-        return value
+    def _fall_back(self, fingerprint: str, job: SimJob,
+                   results: dict[str, Any]) -> None:
+        self.stats.fallbacks += 1
+        results[fingerprint] = execute_job(job)

@@ -179,9 +179,7 @@ class SimJob:
         ``recovery_policy``): two jobs with equal prefix fingerprints boot
         the identical simulation up to their first injected fault, which
         is what lets the branch runner run that prefix once and fork per
-        cell — and lets :class:`~repro.runner.cache.ResultCache` serve a
-        recorded prefix probe across sweeps.  Salted with the
-        code-version hash like :meth:`fingerprint`.
+        cell.  Salted with the code-version hash like :meth:`fingerprint`.
         """
         payload = canonical_repr((
             self.kind,
@@ -225,8 +223,8 @@ class SimJob:
     # ----------------------------------------------------------- branching
 
     def branchable(self) -> bool:
-        """True when this job can run as a suffix branched off a shared
-        null-boot prefix.
+        """True when this job can run as a branch off a shared null
+        trunk boot.
 
         Only ``boot`` jobs branch (a recovery ladder constructs its boots
         internally), and only under plans without ``paths`` specs: missing

@@ -12,8 +12,9 @@ and execution sit three cuts:
    :class:`~repro.runner.cache.ResultCache` before any simulation runs.
 3. **Branch** (opt-in) — jobs sharing a prefix fingerprint are grouped
    and routed through the :class:`~repro.runner.branch.BranchRunner`,
-   which boots the shared prefix once and forks a cheap copy-on-write
-   suffix per cell instead of re-simulating every boot from t=0.
+   which boots the shared fault-free trunk once and forks a copy-on-write
+   child per cell at the cell's first perturbed fault query instead of
+   re-simulating every boot from t=0.
 
 What remains executes serially (``jobs=1``) or on a lazily created
 ``ProcessPoolExecutor`` with a computed chunksize (one pickle round-trip
@@ -53,8 +54,9 @@ class SweepStats:
         executed: Unique jobs simulated from scratch.
         branched: Unique jobs resolved as branches off a shared prefix
             (checkpoint/fork) instead of from-scratch runs.
-        prefix_boots: Full prefix boots (probes + rolling prefixes) the
-            branch runner paid to resolve the branched jobs.
+        prefix_boots: Trunk boots the branch runner paid to resolve the
+            branched jobs: one per prefix group on the fork backend, one
+            per cell on the replay backend.
         predicted: Jobs solved analytically by the closed-form boot
             predictor during pre-filtered sweeps.
         prefilter_skipped: Predicted jobs that never reached the DES
@@ -137,8 +139,8 @@ class SweepRunner:
         results = plan.results
         missing = plan.missing
 
-        # Branch cut: groups sharing a prefix run as one recorded prefix
-        # plus forked suffixes (before the pool sees anything, so fork
+        # Branch cut: groups sharing a prefix run as one trunk boot plus
+        # forked branches (before the pool sees anything, so fork
         # children are never spawned from a thread-carrying process).
         if missing and self.branch:
             missing = self._run_branched(missing, results)
@@ -269,8 +271,8 @@ class SweepRunner:
         """Resolve branchable prefix groups; returns the unbranched rest."""
         from repro.runner.branch import BranchRunner
 
-        runner = BranchRunner(cache=self.cache, backend=self.branch_backend,
-                              jobs=self.jobs, min_group=self.min_branch_group)
+        runner = BranchRunner(backend=self.branch_backend, jobs=self.jobs,
+                              min_group=self.min_branch_group)
         groups, rest = runner.partition(missing)
         for group in groups:
             for fingerprint, outcome in runner.run_group(group).items():
@@ -278,8 +280,7 @@ class SweepRunner:
                 results[fingerprint] = outcome
         self.stats.branched += runner.stats.branched
         self.stats.executed += runner.stats.fallbacks
-        self.stats.prefix_boots += (runner.stats.probe_boots
-                                    + runner.stats.prefix_boots)
+        self.stats.prefix_boots += runner.stats.prefix_boots
         return rest
 
     def _get_pool(self) -> ProcessPoolExecutor:

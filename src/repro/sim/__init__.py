@@ -18,8 +18,9 @@ It provides:
 * :class:`~repro.sim.tracing.Tracer` — span/instant trace recording used by
   the bootchart renderer,
 * :class:`~repro.sim.checkpoint.InjectorSlot` — the checkpoint/fork
-  seam: a swappable fault-injector stand-in that records every query the
-  boot makes, so a shared prefix can be branched per fault plan
+  seam: a swappable fault-injector stand-in that offers every query the
+  boot makes to an observer, so a shared prefix can be branched per fault
+  plan at the plan's first perturbed query
   (:func:`~repro.sim.checkpoint.first_divergence`).
 
 The engine is deterministic: ties are broken by scheduling order, time is

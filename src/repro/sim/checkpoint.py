@@ -1,34 +1,34 @@
-"""Checkpoint/fork support: record a null boot prefix, branch per cell.
+"""Checkpoint/fork support: branch each cell off one null boot at its
+first perturbed fault query.
 
 Matrix sweeps re-simulate the same boot prefix for every cell even though
-cells only start to differ at their first injected fault.  This module
-provides the simulation-level machinery that lets a sweep run that shared
-prefix *once* and branch cheap divergent suffixes off it — the
-record-and-replay idea of rr and the reproducible-checkpoint methodology
-of gem5, applied to a deterministic DES (see ``docs/performance.md``).
+cells only start to differ at their first injected fault.  This module is
+the seam that lets a sweep boot that prefix *once*, as a fault-free
+**trunk**, and branch each cell off it where the cell diverges -- rr's
+checkpoint taken by forking the process at the moment one is needed,
+applied to a deterministic DES (see ``docs/performance.md``).  It rests
+on two properties:
 
-The design exploits two properties the simulator already guarantees:
-
-1. **Pausing is free and exact.**  ``Simulator.run(until_ns=T)`` executes
-   every event at time ``<= T`` and stops *without scheduling anything*,
-   so a paused run's event stream is byte-identical to an uninterrupted
-   one (same events, same seq numbers).  Calling ``run`` again resumes.
+1. **A null slot is invisible.**  Until a plan is swapped in, an
+   :class:`InjectorSlot` answers every fault query with the null answer,
+   which is control-flow and event-stream identical to running with no
+   injector at all: a trunk boot *is* the fault-free boot, byte for byte.
 2. **Injector answers are pure.**  Every :class:`~repro.faults.injector.
-   BootFaultInjector` decision is a function of ``(seed, stream,
-   stable identity)`` — never of draw order — so the answer a cell's
-   injector *would* give at any query point can be evaluated offline
-   against a recording of the queries a null (fault-free) boot makes.
+   BootFaultInjector` decision is a function of ``(seed, stream, stable
+   identity)``, never of draw order (the storage request counter aside,
+   which the slot carries), so a throwaway injector decides at the query
+   itself whether the cell would answer it differently
+   (:func:`first_divergence`).
 
-Put together: boot once with a recording :class:`InjectorSlot` (null
-answers, so the run equals a no-fault boot byte-for-byte), compute each
-cell's **divergence time** — the sim time of the first recorded query its
-real injector answers differently from null — with
-:func:`first_divergence`, then replay the null prefix up to just before
-each divergence and swap the cell's real injector into the slot.  From
-that point the branched run asks the same questions and gets the same
-answers as a from-scratch run of the cell, so the two are byte-identical
-by construction.  The :class:`~repro.runner.branch.BranchRunner` drives
-this with copy-on-write ``os.fork`` (or an in-process replay fallback).
+So up to its first perturbed answer a cell asks the same questions as the
+null run, in the same order, and gets the same answers: its run *is* the
+trunk's run up to that query.  The slot offers every query to an
+observer before answering it; at a cell's first perturbed query the
+observer branches (a copy-on-write fork child, or the trunk itself) and
+the branch installs the cell's injector, which answers this very query.
+From there the branch is the cell's own from-scratch run, continued on
+the same stack: byte-identical by construction, with no pause and no
+replay.  :class:`~repro.runner.branch.BranchRunner` drives this.
 
 Plans with ``paths`` specs are *structural*: missing/late device paths
 are blocked at init-manager construction and their lift events are
@@ -38,7 +38,7 @@ cannot branch and must run from scratch (see ``SimJob.branchable``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import SimulationError
 from repro.faults.injector import InjectedStats, ServiceDecision
@@ -47,9 +47,8 @@ if TYPE_CHECKING:
     from repro.faults.injector import BootFaultInjector
     from repro.sim.engine import Simulator
 
-#: Record kinds emitted by a recording :class:`InjectorSlot`.  Each record
-#: is a plain tuple — picklable, so a probe's recording caches like any
-#: other result — whose last element is the sim time of the query.
+#: Query record kinds an :class:`InjectorSlot` offers its observer.  Each
+#: record is a plain tuple whose last element is the sim time of the query.
 STORAGE = "storage"      # (STORAGE, index, nbytes, is_write, time_ns)
 SERVICE = "service"      # (SERVICE, unit, attempt, time_ns)
 MODULE = "module"        # (MODULE, module, time_ns)
@@ -71,21 +70,27 @@ class InjectorSlot:
     forwards to the real injector, so the run continues exactly as if that
     injector had been present from the start.
 
+    While un-swapped the slot offers each query, as a record (see the
+    record-kind constants), to its ``observer`` before answering it; an
+    injector the observer swaps in answers that query already.
+
     The one piece of per-run injector state that is *not* a pure function
     of the query identity is the storage request counter; the slot counts
     every storage query from t=0 and seeds the real injector's counter at
-    swap time, so post-swap draws are addressed by the same request
-    indices a from-scratch run would use.
+    swap time, so the swapped injector addresses the request it was
+    swapped in at, and every later one, by a from-scratch run's index.
 
     Args:
-        record: Also append a query record (see the record-kind constants)
-            for every question asked while un-swapped — the probe mode
-            that feeds :func:`first_divergence`.
+        record: Append every query record to :attr:`records`; the
+            observer is then ``records.append`` and ``observer`` is unused.
+        observer: Called with every query record while un-swapped.
     """
 
-    def __init__(self, record: bool = False):
+    def __init__(self, record: bool = False,
+                 observer: Callable[[tuple[Any, ...]], None] | None = None):
         self.delegate: "BootFaultInjector | None" = None
         self.records: list[tuple[Any, ...]] | None = [] if record else None
+        self.observer = self.records.append if record else observer
         self._sim: "Simulator | None" = None
         self._storage_requests = 0
         self._null_stats = InjectedStats()
@@ -93,7 +98,7 @@ class InjectorSlot:
     # ------------------------------------------------------------ lifecycle
 
     def attach(self, sim: "Simulator") -> None:
-        """Bind the simulator whose clock timestamps recorded queries."""
+        """Bind the simulator whose clock timestamps query records."""
         self._sim = sim
 
     def swap(self, injector: "BootFaultInjector") -> None:
@@ -135,76 +140,75 @@ class InjectorSlot:
         return (self.delegate.path_blocked(path)
                 if self.delegate is not None else False)
 
+    def _null(self, *query: Any) -> bool:
+        """Offer an un-swapped query to the observer; True if it is to be
+        answered null, False if a real injector (maybe just swapped in by
+        the observer) answers it."""
+        if self.delegate is None and self.observer is not None:
+            self.observer((*query, self._now()))
+        return self.delegate is None
+
     def storage_extra_ns(self, nbytes: int, is_write: bool) -> int:
-        if self.delegate is not None:
-            return self.delegate.storage_extra_ns(nbytes, is_write)
         index = self._storage_requests
-        self._storage_requests += 1
-        if self.records is not None:
-            self.records.append((STORAGE, index, nbytes, is_write,
-                                 self._now()))
-        return 0
+        if self._null(STORAGE, index, nbytes, is_write):
+            self._storage_requests = index + 1
+            return 0
+        return self.delegate.storage_extra_ns(nbytes, is_write)
 
     def service_decision(self, unit: str, attempt: int) -> ServiceDecision:
-        if self.delegate is not None:
-            return self.delegate.service_decision(unit, attempt)
-        if self.records is not None:
-            self.records.append((SERVICE, unit, attempt, self._now()))
-        return _NULL_DECISION
+        if self._null(SERVICE, unit, attempt):
+            return _NULL_DECISION
+        return self.delegate.service_decision(unit, attempt)
 
     def module_decision(self, module: str) -> tuple[bool, int]:
-        if self.delegate is not None:
-            return self.delegate.module_decision(module)
-        if self.records is not None:
-            self.records.append((MODULE, module, self._now()))
-        return False, 0
+        if self._null(MODULE, module):
+            return False, 0
+        return self.delegate.module_decision(module)
 
     def settle_ns(self, unit: str, attempt: int, base_ns: int) -> int:
-        if self.delegate is not None:
-            return self.delegate.settle_ns(unit, attempt, base_ns)
-        if self.records is not None:
-            self.records.append((SETTLE, unit, attempt, base_ns,
-                                 self._now()))
-        return base_ns
+        if self._null(SETTLE, unit, attempt, base_ns):
+            return base_ns
+        return self.delegate.settle_ns(unit, attempt, base_ns)
 
     def deferred_fails(self, task: str, attempt: int) -> bool:
-        if self.delegate is not None:
-            return self.delegate.deferred_fails(task, attempt)
-        if self.records is not None:
-            self.records.append((DEFERRED, task, attempt, self._now()))
-        return False
+        if self._null(DEFERRED, task, attempt):
+            return False
+        return self.delegate.deferred_fails(task, attempt)
 
     def __repr__(self) -> str:
         state = (f"swapped:{self.delegate!r}" if self.delegate is not None
-                 else ("recording" if self.records is not None else "null"))
+                 else ("recording" if self.records is not None
+                       else "observed" if self.observer is not None
+                       else "null"))
         return f"InjectorSlot({state}, storage_requests={self._storage_requests})"
 
 
-def first_divergence(records: list[tuple[Any, ...]],
+def first_divergence(records: Iterable[tuple[Any, ...]],
                      injector: "BootFaultInjector") -> int | None:
-    """Sim time of the first recorded query ``injector`` perturbs.
+    """Sim time of the first query record ``injector`` perturbs.
 
-    Evaluates a throwaway compiled injector over a null boot's query
-    recording, in query order, and returns the timestamp of the first
-    query whose answer differs from the null answer — the cell's
-    divergence time.  ``None`` means the injector never perturbs any
-    query the null boot makes: the cell's run *is* the null run (modulo
-    the all-zero fault tally in its report).
+    Evaluates a throwaway compiled injector over query records of a null
+    (fault-free) boot, in query order, and returns the timestamp of the
+    first query whose answer differs from the null answer — the cell's
+    divergence time.  ``None`` means the injector perturbs none of them.
+    The branch runner calls it with one record at a time, as the trunk
+    asks each query; over a whole recording, ``None`` means the cell's run
+    *is* the null run (modulo the all-zero fault tally in its report).
 
     This is sound because injector answers are pure functions of
     ``(seed, stream, identity)``: a from-scratch run of the cell asks the
     exact same questions in the exact same order up to its first
-    perturbing answer, so the recording covers everything that can
-    diverge.  The injector's storage counter is force-aligned to each
+    perturbing answer, so the null boot's queries cover everything that
+    can diverge.  The injector's storage counter is force-aligned to each
     record's request index, and the per-query ``stats`` writes land on
     this throwaway instance, so evaluation has no side effects on the
     caller.
 
     Args:
-        records: The recording of a null boot of the cell's prefix job
-            (an :class:`InjectorSlot` created with ``record=True``).
-        injector: A freshly compiled injector for the cell's plan.  Do
-            not reuse it for a live run afterwards.
+        records: Query records of a null boot of the cell's prefix job
+            (what an :class:`InjectorSlot` offers its observer).
+        injector: A freshly compiled injector for the cell's plan, fed
+            the records in query order.  Do not reuse it for a live run.
     """
     for record in records:
         kind = record[0]

@@ -1,7 +1,7 @@
 """Branch-identity oracle: checkpoint/fork must be invisible in results.
 
 The checkpoint/fork engine (:mod:`repro.runner.branch`) promises that
-running a fault matrix as one shared prefix plus forked suffixes returns
+running a fault matrix as one trunk boot plus forked branches returns
 *exactly* what from-scratch boots return — not statistically close,
 byte-identical.  This module is the oracle for that promise: it builds a
 mixed matrix that exercises every branch path (the null cell, early and
@@ -33,14 +33,15 @@ def identity_matrix(smoke: bool = False) -> list[SimJob]:
 
     Cells (all on the TV workload under full BB):
 
-    * the null cell — answered straight from the cached prefix probe;
+    * the null cell — answered straight from the trunk's report;
     * transient service failures (fork at the unit's first attempt);
-    * a permanent failure of a completion-critical unit — the suffix
-      ends degraded, so the branch must reproduce the degraded report;
+    * a permanent failure of a completion-critical unit — the branch
+      ends degraded, so it must reproduce the degraded report;
     * settle jitter on settle-capable units (late divergence) and on a
-      unit without hardware settle (no divergence: master-report
+      unit without hardware settle (no divergence: trunk-report
       answer);
-    * storage latency spikes (early divergence — near-full suffix);
+    * storage latency spikes (early divergence at a storage request —
+      near-full branch);
     * deferred-task failures (post-completion divergence);
     * a path fault — structurally non-branchable, must fall back to a
       from-scratch run and still match.

@@ -160,3 +160,58 @@ def test_preparser_boot_renders_each_unit_text_once(monkeypatch):
     assert renders
     assert set(renders.values()) == {1}
     assert len(renders) == len(simulation.manager.registry)
+
+
+@pytest.mark.parametrize("preset", ["broken-tuner", "transient-storage-burst"])
+def test_degraded_boot_closes_its_parked_processes(preset, monkeypatch):
+    """A degraded boot leaves most processes suspended in generators.  The
+    boot closes them itself, without waking anything, so no clean-up of
+    theirs runs later, under the garbage collector, in another boot."""
+    import gc
+    from collections import Counter
+
+    from repro.core.degraded import DegradedBootError
+    from repro.faults import build_preset
+    from repro.sim import Simulator
+    from repro.sim.events import EventQueue
+    from repro.sim.sync import Mutex
+
+    calls = Counter()
+    phase = ["boot"]
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[phase[0], name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(Simulator, "_resume")
+    counting(EventQueue, "push")
+    counting(Mutex, "release")
+    close = BootSimulation._close_parked_processes
+
+    def closing(simulation):
+        phase[0] = "close"
+        try:
+            close(simulation)
+        finally:
+            phase[0] = "boot"
+
+    monkeypatch.setattr(BootSimulation, "_close_parked_processes", closing)
+
+    gc.collect()
+    simulation = BootSimulation(opensource_tv_workload(), BBConfig.full(),
+                                fault_plan=build_preset(preset, 1))
+    with pytest.raises(DegradedBootError):
+        simulation.run()
+    processes = simulation.sim.processes
+    assert sum(process.alive for process in processes) > 100
+    assert all(process._gen.gi_frame is None for process in processes)
+    assert calls["close", "_resume"] == calls["close", "push"] == 0
+    del simulation, processes
+    phase[0] = "gc"
+    gc.collect()
+    assert calls["gc", "release"] == calls["gc", "_resume"] == 0

@@ -11,7 +11,7 @@ import time
 from repro.fleet import FleetClient, FleetService
 from repro.fleet.protocol import encode_frame, job_from_spec
 from repro.fleet.resources import ResourcePolicy
-from repro.runner import execute_job
+from repro.runner import BranchRunner, execute_job
 from repro.runner.branch import canonical_bytes
 from repro.runner.oracle import SerialReplay
 
@@ -116,13 +116,25 @@ class TestSubmitStream:
 
 
 class TestBranchedShards:
-    def test_branched_batch_matches_the_serial_replay(self, tmp_path):
+    def test_branched_batch_matches_the_serial_replay(self, tmp_path,
+                                                      monkeypatch):
         # ``fleet serve --branch``: five what-if cells on one camera/full
-        # prefix land in one shard batch and run as forked suffixes.
+        # prefix land in one shard batch and run as forked branches.
         specs = [{"kind": "boot", "workload": "camera", "bb": "full",
                   "fault": {"preset": "flaky-services", "seed": seed}}
                  for seed in range(1, 6)]
         cache_dir = tmp_path / "cache"
+        # The shard's executor forks from this process, so its child runs
+        # this wrapper: the marker records each group the shard branched.
+        marker = tmp_path / "branched-groups"
+        run_group = BranchRunner.run_group
+
+        def marking_run_group(runner, group):
+            with marker.open("a") as out:
+                out.write(f"{len(group)}\n")
+            return run_group(runner, group)
+
+        monkeypatch.setattr(BranchRunner, "run_group", marking_run_group)
 
         async def scenario(service, host, port):
             async with FleetClient(host, port) as client:
@@ -135,9 +147,8 @@ class TestBranchedShards:
         replay = SerialReplay([job_from_spec(spec) for spec in specs])
         assert replay.compare(zip(outcome.fingerprints, outcome.payloads),
                               "fleet") == []
-        # The shard branched: its prefix probe reached the shared cache.
-        assert any(path.name.startswith("probe:")
-                   for path in cache_dir.iterdir())
+        # The shard branched: all five cells ran as one group.
+        assert marker.read_text() == "5\n"
 
 
 class TestProtocolErrors:

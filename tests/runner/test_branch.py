@@ -7,18 +7,19 @@ plus the fingerprint factoring and partitioning rules that route jobs
 into it.
 """
 
+import os
 import pickle
 
 import pytest
 
-from repro.core import BBConfig
+from repro.core import BBConfig, BootSimulation
 from repro.core.degraded import DegradedBootReport
 from repro.errors import SimulationError
 from repro.faults import (DeferredFault, FaultPlan, PathFault, ServiceFault,
-                          SettleFault)
-from repro.runner import (BranchRunner, ResultCache, SimJob, SweepRunner,
+                          SettleFault, StorageFault)
+from repro.runner import (BranchRunner, SimJob, SweepRunner,
                           canonical_bytes, execute_job)
-from repro.runner.branch import BACKEND_FORK, BACKEND_REPLAY, PROBE_KEY
+from repro.runner.branch import BACKEND_FORK, BACKEND_REPLAY
 from repro.workloads import opensource_tv_workload
 from repro.workloads.tizen_tv import perturbed_tv_workload
 
@@ -33,7 +34,7 @@ def _boot(plan=None, **kwargs):
 def _matrix_jobs():
     """A small mixed matrix exercising every branch code path."""
     return [
-        _boot(),  # null cell -> master report verbatim
+        _boot(),  # null cell -> trunk report verbatim
         _boot(FaultPlan(seed=21, services=(
             ServiceFault(unit="logger.service", fail_attempts=1),))),
         _boot(FaultPlan(seed=22, services=(
@@ -44,6 +45,15 @@ def _matrix_jobs():
             SettleFault(unit="logger.service", jitter=0.6),))),  # no divergence
         _boot(FaultPlan(seed=25, deferred=(
             DeferredFault(task="*", fail_attempts=1),))),
+        # First perturbed query is a storage request: the branch's
+        # injector must answer it by that request's index.
+        _boot(FaultPlan(seed=26, storage=(
+            StorageFault(spike_rate=0.05, spike_ns=400_000),))),
+        # Diverges at the same query as the logger failure above, so two
+        # branches leave the trunk at one query.
+        _boot(FaultPlan(seed=27, services=(
+            ServiceFault(unit="logger.service", hang_ns=30_000_000,
+                         hang_rate=1.0),))),
     ]
 
 
@@ -111,7 +121,7 @@ class TestBranchability:
         runner = BranchRunner(backend=BACKEND_REPLAY, min_group=3)
         groups, rest = runner.partition(
             [(job.fingerprint(), job) for job in jobs])
-        assert [len(g) for g in groups] == [6]
+        assert [len(g) for g in groups] == [len(_matrix_jobs())]
         assert len(rest) == 2
 
     def test_unknown_backend_rejected(self):
@@ -141,10 +151,44 @@ class TestBranchIdentity:
                     == canonical_bytes(scratch_results[fingerprint]))
         assert runner.stats.no_divergence == 2  # null cell + inert settle
         assert runner.stats.branched == len(jobs)
+        assert runner.stats.fallbacks == 0
         if backend == BACKEND_FORK:
-            assert runner.stats.forked == 4
+            assert runner.stats.forked == len(jobs) - 2
+            assert runner.stats.prefix_boots == 1
         else:
-            assert runner.stats.replayed == 4
+            assert runner.stats.replayed == len(jobs) - 2
+            assert runner.stats.prefix_boots == len(jobs)
+
+    def test_cells_fork_at_their_first_perturbed_query(self, monkeypatch):
+        # The storage cell branches at a storage request, and the two
+        # logger cells branch together, at one query.
+        from repro.runner import branch
+        from repro.sim.checkpoint import STORAGE
+
+        queries = []
+        forked_at = {}
+        observe, fork = branch._Trunk._observe, branch._ForkPool.fork
+
+        def recording_observe(trunk, record):
+            queries.append(record)
+            observe(trunk, record)
+
+        def recording_fork(pool, fingerprint):
+            pipe = fork(pool, fingerprint)
+            if pipe is None:
+                forked_at[fingerprint] = len(queries) - 1
+            return pipe
+
+        monkeypatch.setattr(branch._Trunk, "_observe", recording_observe)
+        monkeypatch.setattr(branch._ForkPool, "fork", recording_fork)
+        jobs = _matrix_jobs()
+        runner = BranchRunner(backend=BACKEND_FORK, min_group=2)
+        runner.run_group([(job.fingerprint(), job) for job in jobs])
+        assert len(forked_at) == len(jobs) - 2
+        logger_fail, logger_hang = jobs[1], jobs[7]
+        assert (forked_at[logger_fail.fingerprint()]
+                == forked_at[logger_hang.fingerprint()])
+        assert queries[forked_at[jobs[6].fingerprint()]][0] == STORAGE
 
     def test_degraded_cell_survives_branching(self, scratch_results):
         degraded = [value for value in scratch_results.values()
@@ -157,20 +201,67 @@ class TestBranchIdentity:
         report = scratch_results[inert.fingerprint()]
         assert all(v == 0 for v in report.injected_faults.values())
 
-    def test_probe_cached_across_runs(self):
-        cache = ResultCache()
+    def test_child_error_falls_back_once_and_is_reaped(self, monkeypatch,
+                                                        scratch_results):
+        # A cell whose run raises a non-degraded error inside its fork
+        # child: the child sends the traceback and exits, the parent runs
+        # that one cell from scratch, and no child is left unreaped.
+        parent = os.getpid()
         jobs = _matrix_jobs()
-        entries = [(job.fingerprint(), job) for job in jobs]
-        first = BranchRunner(cache=cache, backend=BACKEND_REPLAY, min_group=2)
-        first.run_group(first.partition(entries)[0][0])
-        assert first.stats.probe_boots == 1
-        assert first.stats.probe_cache_hits == 0
-        key = PROBE_KEY + jobs[0].prefix_fingerprint()
-        assert cache.get(key) is not None
-        second = BranchRunner(cache=cache, backend=BACKEND_REPLAY, min_group=2)
-        second.run_group(second.partition(entries)[0][0])
-        assert second.stats.probe_boots == 0
-        assert second.stats.probe_cache_hits == 1
+        doomed = jobs[1].fault_plan
+        install_plan = BootSimulation.install_plan
+
+        def failing_install(simulation, plan):
+            install_plan(simulation, plan)
+            if os.getpid() != parent and plan == doomed:
+                raise RuntimeError("planted branch-child failure")
+
+        forked = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(BootSimulation, "install_plan", failing_install)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        runner = BranchRunner(backend=BACKEND_FORK, jobs=2, min_group=2)
+        results = runner.run_group([(job.fingerprint(), job) for job in jobs])
+        monkeypatch.undo()
+        for fingerprint, branched in results.items():
+            assert (canonical_bytes(branched)
+                    == canonical_bytes(scratch_results[fingerprint]))
+        assert runner.stats.fallbacks == 1
+        assert runner.stats.forked == len(jobs) - 3
+        assert len(forked) == len(jobs) - 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_degraded_trunk_keeps_its_forked_cells(self, monkeypatch,
+                                                   scratch_results):
+        # Each fork child is its cell's own run, so a trunk that degrades
+        # after forking costs only the cells still waiting on it: the
+        # null cell and the inert settle cell fall back, nothing else.
+        build_report = BootSimulation._build_report
+
+        def degrading_trunk(simulation):
+            slot = simulation.injector_slot
+            if slot is not None and not slot.swapped:
+                raise simulation._degraded_error(wedged=True)
+            return build_report(simulation)
+
+        monkeypatch.setattr(BootSimulation, "_build_report", degrading_trunk)
+        jobs = _matrix_jobs()
+        runner = BranchRunner(backend=BACKEND_FORK, min_group=2)
+        results = runner.run_group([(job.fingerprint(), job) for job in jobs])
+        for fingerprint, branched in results.items():
+            assert (canonical_bytes(branched)
+                    == canonical_bytes(scratch_results[fingerprint]))
+        assert runner.stats.forked == len(jobs) - 2
+        assert runner.stats.fallbacks == 2
 
 
 class TestSweepIntegration:
@@ -188,9 +279,15 @@ class TestSweepIntegration:
         assert len(branched) == len(plain)
         for a, b in zip(branched, plain):
             assert canonical_bytes(a) == canonical_bytes(b)
-        assert runner.stats.branched == 6
+        assert runner.stats.branched == len(jobs) - 1
         assert runner.stats.executed == 1  # the structural paths cell
         assert runner.stats.prefix_boots >= 1
+
+    def test_fork_backend_pays_one_trunk_per_group(self):
+        runner = SweepRunner(jobs=1, branch=True, branch_backend=BACKEND_FORK,
+                             min_branch_group=2)
+        runner.run(_matrix_jobs())
+        assert runner.stats.prefix_boots == 1
 
     def test_branch_results_enter_the_cache(self):
         runner = SweepRunner(jobs=1, branch=True,

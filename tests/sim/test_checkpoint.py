@@ -77,6 +77,30 @@ class TestSwap:
         with pytest.raises(SimulationError):
             slot.swap(FaultPlan(seed=2).compile())
 
+    def test_observer_swap_answers_the_offered_query(self):
+        # The branch point: an injector the observer swaps in answers the
+        # very query it was offered, a storage query by that request's
+        # index, and later queries are no longer offered.
+        from types import SimpleNamespace
+
+        plan = FaultPlan(seed=9, storage=(
+            StorageFault(spike_rate=1.0, spike_ns=1_000),))
+        injector = plan.compile()
+        offered = []
+
+        def observer(record):
+            offered.append(record)
+            if len(offered) == 3:
+                slot.swap(injector)
+
+        slot = InjectorSlot(observer=observer)
+        slot.attach(SimpleNamespace(now=7))
+        answers = [slot.storage_extra_ns(512, False) for _ in range(4)]
+        assert answers == [0, 0, 1_000, 1_000]
+        assert offered == [(STORAGE, index, 512, False, 7)
+                           for index in range(3)]
+        assert injector._storage_requests == 4
+
     def test_swapped_slot_forwards(self):
         plan = FaultPlan(seed=3, services=(
             ServiceFault(unit="x.service", fail_attempts=1),))
