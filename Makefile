@@ -43,10 +43,10 @@ predict:
 predicted:
 	PYTHONPATH=src python -m repro verify --only predicted
 
-# Branched == from-scratch on the full 12-cell identity matrix, on the
-# replay backend at 1 and 2 workers and the fork backend at 1, 2 and 4
-# (the full profile of the `branch-identity` verify group; the smoke
-# profile in `make verify` runs 8 cells, fork at 1 and 2 only).
+# Branched == from-scratch on the full 12-cell identity matrix, with at
+# most 1, 2 and 4 concurrent fork children (the full profile of the
+# `branch-identity` verify group; the smoke profile in `make verify` runs
+# 8 cells at 1 and 2).
 branch-identity:
 	PYTHONPATH=src python -m repro verify --only branch-identity
 
@@ -95,10 +95,13 @@ sweep-reference:
 	python3 scripts/check_sweep_reference.py
 
 # Whole-report identity gate: run `repro experiment all --jobs 1` and
-# compare its output byte for byte with scripts/reference/experiment-all.txt
-# (about 20 s).  Nonzero exit names the first differing line.  After a
-# change meant to alter the output, regenerate the reference with
-# `python3 scripts/check_experiment_reference.py --write`.
+# `repro experiment all --jobs 2 --branch`, and compare each output byte
+# for byte with scripts/reference/experiment-all.txt (about 30 s), so the
+# worker pool and the branch engine are held to the serial bytes too.
+# Nonzero exit names the command and its first differing line.  After a
+# change meant to alter the output, regenerate the reference (from the
+# serial command) with `python3 scripts/check_experiment_reference.py
+# --write`.
 experiment-reference:
 	python3 scripts/check_experiment_reference.py
 

@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Run ``repro experiment all --jobs 1`` and compare it with the stored output.
+"""Compare ``experiment all``, serial and branched, with the stored output.
 
 Every experiment is a pure function of its inputs, so the whole report of
 ``experiment all`` must come out byte for byte the same on every run, job
-count and Python version.  This script runs the command as a user does
-(``python -m repro experiment all --jobs 1`` with ``PYTHONPATH=src``) and
-compares its standard output with ``scripts/reference/experiment-all.txt``,
-so a change that moves any printed number of any experiment fails here.
+count, branch setting and Python version.  This script runs two commands
+as a user does (``python -m repro experiment all --jobs 1`` and ``...
+--jobs 2 --branch``, with ``PYTHONPATH=src``) and compares the standard
+output of each with ``scripts/reference/experiment-all.txt``, so a change
+that moves any printed number of any experiment, or makes the worker pool
+or the branch engine change one, fails here.
 
 Usage (from the repository root)::
 
     python3 scripts/check_experiment_reference.py          # compare
     python3 scripts/check_experiment_reference.py --write  # regenerate
 
-Exits 1 and names the first differing line on any difference.  Regenerate
-the reference only for a change that is meant to alter the output.
+Exits 1 and names the command and its first differing line on any
+difference.  ``--write`` regenerates the reference from the serial
+command; do that only for a change that is meant to alter the output.
 """
 
 from __future__ import annotations
@@ -28,14 +31,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "scripts" / "reference" / "experiment-all.txt"
-COMMAND = ("-m", "repro", "experiment", "all", "--jobs", "1")
+#: The commands checked; the first, serial one writes the reference.
+COMMANDS = (("experiment", "all", "--jobs", "1"),
+            ("experiment", "all", "--jobs", "2", "--branch"))
 
 
-def run_experiments() -> bytes:
+def run_experiments(command: tuple[str, ...]) -> tuple[bytes, float]:
+    """The command's standard output and its wall time in seconds."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    completed = subprocess.run([sys.executable, *COMMAND], cwd=ROOT, env=env,
-                               stdout=subprocess.PIPE, check=True)
-    return completed.stdout
+    start = time.perf_counter()
+    completed = subprocess.run([sys.executable, "-m", "repro", *command],
+                               cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                               check=True)
+    return completed.stdout, time.perf_counter() - start
 
 
 def first_difference(expected: bytes, actual: bytes) -> str:
@@ -59,28 +67,30 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--write", action="store_true",
                         help="regenerate the reference from this tree")
     args = parser.parse_args(argv)
-    start = time.perf_counter()
-    output = run_experiments()
-    elapsed = time.perf_counter() - start
     name = REFERENCE.relative_to(ROOT)
     if args.write:
         sys.path.insert(0, str(ROOT / "src"))
         from repro.atomic import atomic_write_bytes
 
+        output, elapsed = run_experiments(COMMANDS[0])
         atomic_write_bytes(REFERENCE, output)
         print(f"experiment-reference: wrote {name} ({len(output)} bytes, "
               f"{elapsed:.1f} s)")
         return 0
     expected = REFERENCE.read_bytes()
-    if output == expected:
-        print(f"experiment-reference: output identical to {name} "
-              f"({len(output)} bytes, {elapsed:.1f} s)")
-        return 0
-    print(f"MISMATCH {first_difference(expected, output)}")
-    print(f"experiment-reference: output ({len(output)} bytes) differs from "
-          f"{name} ({len(expected)} bytes, {elapsed:.1f} s)")
-    return 1
-
+    status = 0
+    for command in COMMANDS:
+        label = "repro " + " ".join(command)
+        output, elapsed = run_experiments(command)
+        if output == expected:
+            print(f"experiment-reference: `{label}` output identical to "
+                  f"{name} ({len(output)} bytes, {elapsed:.1f} s)")
+            continue
+        print(f"MISMATCH in `{label}`: {first_difference(expected, output)}")
+        print(f"experiment-reference: `{label}` output ({len(output)} bytes) "
+              f"differs from {name} ({len(expected)} bytes, {elapsed:.1f} s)")
+        status = 1
+    return status
 
 if __name__ == "__main__":
     sys.exit(main())

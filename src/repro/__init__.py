@@ -13,7 +13,7 @@ Package map:
 
 * :mod:`repro.sim` — deterministic discrete-event engine (multicore CPU,
   spin-vs-sleep locks, tracing),
-* :mod:`repro.hw` — storage/DRAM/peripheral models and board presets,
+* :mod:`repro.hw` — storage/DRAM models and board presets,
 * :mod:`repro.kernel` — bootloader, kernel boot phases, RCU, modules,
 * :mod:`repro.initsys` — the systemd-like init substrate and baselines,
 * :mod:`repro.graph` — dependency analysis (Service Analyzer & friends),

@@ -2,15 +2,14 @@
 boot-time predictor (see ``docs/analysis.md``)."""
 
 from repro.analysis.metrics import BootReport, StageBreakdown, speedup
-from repro.analysis.predict import (PREDICTION_TOLERANCE, BootPrediction,
-                                    SweepPredictor, predict, predict_job)
+from repro.analysis.predict import (BootPrediction, SweepPredictor, predict,
+                                    predict_job)
 from repro.analysis.report import ComparisonTable, format_table
 
 __all__ = [
     "BootPrediction",
     "BootReport",
     "ComparisonTable",
-    "PREDICTION_TOLERANCE",
     "StageBreakdown",
     "SweepPredictor",
     "format_table",

@@ -24,19 +24,18 @@ This module evaluates exactly that arithmetic:
 The solver is validated against the simulator by the ``predicted``
 differential-oracle group in :mod:`repro.verify` (gem5's
 known-answer-test methodology): on every built-in preset the prediction
-must match DES boot-completion time within :data:`PREDICTION_TOLERANCE`.
+must match DES boot-completion time exactly.
 
-**Tolerance contract** (details in ``docs/analysis.md``) — the replica
+**Exactness contract** (details in ``docs/analysis.md``) — the replica
 is slice-accurate: quantum round-robin with per-dispatch switch cost,
 priority-aware storage channel and fork lock, direct-handoff mutexes,
 ticket-spinlock RCU grace periods (spinners burn core slices), socket
 activation, on-demand driver faulting and the kmod worker are replayed
 move for move.  On every built-in preset × ``BBConfig.none()/full()`` ×
 1/2/4 cores the prediction equals DES boot-completion time *exactly*,
-to the nanosecond.  :data:`PREDICTION_TOLERANCE` is a guard band for
-effects outside the replicated set (it admits no known error source
-today); anything perturbed is out of scope — a job with a fault plan or
-``failures_before_success`` is rejected with :class:`AnalysisError`.
+to the nanosecond, and the oracle allows no band; anything perturbed is
+out of scope — a job with a fault plan or ``failures_before_success`` is
+rejected with :class:`AnalysisError`.
 """
 
 from __future__ import annotations
@@ -71,13 +70,6 @@ from repro.workloads.base import Workload
 
 if TYPE_CHECKING:
     from repro.runner.jobs import SimJob
-
-#: Relative tolerance of the ``predicted`` verify oracle: |predicted -
-#: DES| / DES must stay below this on every unperturbed preset.  The
-#: replica is currently exact (every preset measures a delta of 0.0);
-#: the band exists so a future micro-cost added to the simulator fails
-#: soft with a diagnosable drift report instead of a hard mismatch.
-PREDICTION_TOLERANCE = 0.001
 
 #: Simulated-time horizon for the service phase.  The simulated init
 #: model can genuinely livelock — conventional-RCU ticket spinners at

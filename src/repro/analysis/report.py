@@ -47,17 +47,6 @@ class ComparisonTable:
         """Add one measurement pair."""
         self.rows.append((name, baseline_ns, improved_ns))
 
-    def saving_ns(self, name: str) -> int:
-        """Saving of one named row.
-
-        Raises:
-            KeyError: If no row has that name.
-        """
-        for row_name, baseline, improved in self.rows:
-            if row_name == name:
-                return baseline - improved
-        raise KeyError(f"no row named {name!r}")
-
     def render(self) -> str:
         """The full table as text."""
         body = [(name,

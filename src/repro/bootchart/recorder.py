@@ -1,14 +1,10 @@
-"""Extracting bootchart data from a simulation trace."""
+"""Bootchart data from a boot report."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import AnalysisError
-
-if TYPE_CHECKING:
-    from repro.sim.tracing import Tracer
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,23 +32,6 @@ class BootChart:
             raise AnalysisError("bootchart needs at least one bar")
         self.bars = sorted(bars, key=lambda b: (b.start_ns, b.name))
         self.boot_complete_ns = boot_complete_ns
-
-    @classmethod
-    def from_tracer(cls, tracer: "Tracer",
-                    category: str = "service") -> "BootChart":
-        """Build a chart from the closed spans of a finished simulation."""
-        bars = []
-        for span in tracer.spans_in(category):
-            if not span.closed:
-                continue
-            bars.append(ChartBar(name=span.name, start_ns=span.start_ns,
-                                 ready_ns=span.end_ns, end_ns=span.end_ns))
-        complete = None
-        try:
-            complete = tracer.find_instant("boot.complete").time_ns
-        except KeyError:
-            pass
-        return cls(bars, boot_complete_ns=complete)
 
     @classmethod
     def from_report(cls, report) -> "BootChart":

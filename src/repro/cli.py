@@ -284,7 +284,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                           cache_dir=args.cache_dir,
                           skip_checkpoint=args.skip_checkpoint,
                           checkpoint_cells=args.checkpoint_cells,
-                          checkpoint_backend=args.checkpoint_backend,
                           skip_predict=args.skip_predict,
                           skip_fleet=args.skip_fleet)
     write_record(record, args.out)
@@ -303,7 +302,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         checkpoint = record["checkpoint"]
         print(f"checkpoint: {checkpoint['cells']}-cell matrix, scratch "
               f"{checkpoint['scratch_wall_s']:.1f} s, branched "
-              f"({checkpoint['backend']}) "
               f"{checkpoint['branched_wall_s']:.1f} s "
               f"(speedup {checkpoint['speedup']:.2f}x, outputs identical: "
               f"{checkpoint['outputs_identical']})")
@@ -762,10 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--checkpoint-cells", type=int, default=120,
                        help="fault-matrix cells for the checkpoint "
                             "benchmark (default 120)")
-    bench.add_argument("--checkpoint-backend", default=None,
-                       choices=("fork", "replay"),
-                       help="branch backend for the checkpoint benchmark "
-                            "(default: fork where available)")
     bench.add_argument("--branch-floor", type=float, default=0.0,
                        help="fail (exit 1) if the checkpoint speedup lands "
                             "below this factor (0 = report only)")

@@ -15,19 +15,9 @@ class ReproError(Exception):
 class SimulationError(ReproError):
     """An inconsistency inside the discrete-event simulation engine.
 
-    Raised, for example, when an event is scheduled in the past, when a
-    process yields an unknown request object, or when the engine detects
-    a deadlock (no runnable work but unfinished processes).
+    Raised, for example, when an event is scheduled in the past or when a
+    process yields an unknown request object.
     """
-
-
-class DeadlockError(SimulationError):
-    """The simulation ran out of events while processes are still blocked."""
-
-    def __init__(self, blocked: list[str]):
-        self.blocked = list(blocked)
-        names = ", ".join(self.blocked) or "<unknown>"
-        super().__init__(f"simulation deadlock; blocked processes: {names}")
 
 
 class InvariantViolationError(SimulationError):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.report import format_table
 from repro.core import BBConfig

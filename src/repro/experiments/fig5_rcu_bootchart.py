@@ -42,12 +42,6 @@ class Fig5Result:
                  self.boosted.ready_before(t)) for t in CHECKPOINTS_NS]
 
     @property
-    def boosted_launches_earlier(self) -> bool:
-        """The figure's claim, as a predicate over every checkpoint."""
-        return all(boosted >= conventional for _, conventional, boosted
-                   in self.launched_at_checkpoints())
-
-    @property
     def boosted_ready_earlier(self) -> bool:
         """Services come fully up earlier at every checkpoint."""
         return all(boosted >= conventional for _, conventional, boosted

@@ -57,10 +57,6 @@ class Fig6Result:
     cumulative_savings_ms: dict[str, float]
 
     @property
-    def total_saving_ms(self) -> float:
-        return self.no_bb.boot_complete_ms - self.bb.boot_complete_ms
-
-    @property
     def reduction(self) -> float:
         """The headline relative reduction (~0.57 in the paper)."""
         return speedup(self.no_bb.boot_complete_ns, self.bb.boot_complete_ns)

@@ -50,13 +50,6 @@ class InjectedStats:
     deferred_retries: int = 0
     deferred_giveups: int = 0
 
-    def total_events(self) -> int:
-        """Count of discrete injected events (latency totals excluded)."""
-        return (self.storage_spikes + self.storage_errors
-                + self.service_failures + self.service_hangs
-                + self.module_failures + self.paths_delayed
-                + self.paths_blocked + self.deferred_failures)
-
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view for reports and JSON export."""
         return {f.name: getattr(self, f.name) for f in fields(self)}

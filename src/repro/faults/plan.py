@@ -245,11 +245,6 @@ class FaultPlan:
         return not (self.storage or self.services or self.modules
                     or self.paths or self.settles or self.deferred)
 
-    def spec_count(self) -> int:
-        """Total number of fault specs across all categories."""
-        return (len(self.storage) + len(self.services) + len(self.modules)
-                + len(self.paths) + len(self.settles) + len(self.deferred))
-
     def compile(self, attempt_offsets: "dict[str, int] | None" = None,
                 ) -> "BootFaultInjector":
         """Build the live injector for one simulation run.

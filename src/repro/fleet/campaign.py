@@ -34,6 +34,7 @@ from repro.fleet.client import FleetClient, RetryPolicy, SubmissionOutcome
 from repro.fleet.resources import ResourcePolicy
 from repro.fleet.protocol import job_from_spec
 from repro.fleet.service import FleetService
+from repro.runner.jobs import code_version
 from repro.runner.oracle import SerialReplay
 
 #: Fault presets that model field failures worth sweeping at fleet scale.
@@ -197,6 +198,12 @@ def run(smoke: bool = False, total_jobs: int | None = None,
         _stream(chunks, client, retry, service))
     mismatches, unique_jobs, serial_wall_s = _compare_with_serial(
         specs, outcomes)
+    served = status.get("code_version")
+    if served != code_version():
+        # Each process salts every fingerprint with its own code version,
+        # so a skew makes every ticket differ: name the cause once.
+        mismatches = [f"code version skew: the fleet service runs {served}, "
+                      f"this client {code_version()}"]
 
     scheduler = status.get("scheduler", {})
     pool = status.get("pool", {})

@@ -54,6 +54,7 @@ from repro.fleet.resources import ResourcePolicy
 from repro.fleet.workers import WorkerPool
 from repro.runner.branch import canonical_bytes
 from repro.runner.cache import ResultCache
+from repro.runner.jobs import code_version
 from repro.runner.schedule import JobScheduler, Ticket
 
 #: How many jobs one shard batch may carry.  Batches amortize the
@@ -603,6 +604,7 @@ class FleetService:
         cache_stats = self.scheduler.cache.stats
         return {
             "event": "status",
+            "code_version": code_version(),
             "draining": self.draining,
             "uptime_s": round(time.monotonic() - self.started_at, 3),
             "queue_depth": self.scheduler.queued,

@@ -160,13 +160,6 @@ class SlotState:
         return replace(self, active=self.standby, trial=None,
                        boot_attempts=0)
 
-    @property
-    def trial_exhausted(self) -> bool:
-        """Whether the attempt counter says the trial slot is dead
-        (campaigns compare against the generation's ``max_boot_attempts``
-        before calling this; the property just reads the counter)."""
-        return self.trial is not None and self.boot_attempts > 0
-
     # ------------------------------------------------------------ documents
 
     def to_dict(self) -> dict[str, Any]:

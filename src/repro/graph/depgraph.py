@@ -107,10 +107,6 @@ class DependencyGraph:
         wanted = set(kinds)
         return [e for e in self.edges if e.kind in wanted]
 
-    def ordering_successors(self, name: str) -> list[str]:
-        """Units that must wait (in some way) for ``name``."""
-        return [e.successor for e in self.outgoing(name) if e.kind.is_ordering]
-
     def ordering_predecessors(self, name: str) -> list[str]:
         """Units ``name`` waits for (in some way)."""
         return [e.predecessor for e in self.incoming(name) if e.kind.is_ordering]

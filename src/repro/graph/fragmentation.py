@@ -35,15 +35,6 @@ class FragmentationReport:
     order: tuple[str, ...]
     fragments: dict[str, int]
 
-    @property
-    def total_fragments(self) -> int:
-        """Sum of fragments over all groups."""
-        return sum(self.fragments.values())
-
-    def split_groups(self) -> list[str]:
-        """Groups that cannot launch as one contiguous batch."""
-        return sorted(g for g, count in self.fragments.items() if count > 1)
-
 
 def group_fragmentation(registry: UnitRegistry,
                         groups: dict[str, str]) -> FragmentationReport:

@@ -1,4 +1,4 @@
-"""Hardware models: storage, DRAM, peripherals, and board presets.
+"""Hardware models: storage, DRAM, and board presets.
 
 The numbers shipped in :mod:`repro.hw.presets` are the paper's own:
 
@@ -11,7 +11,6 @@ The numbers shipped in :mod:`repro.hw.presets` are the paper's own:
 """
 
 from repro.hw.memory import DRAMModel
-from repro.hw.peripherals import Peripheral, PeripheralClass
 from repro.hw.platform import HardwarePlatform
 from repro.hw.storage import AccessPattern, StorageDevice
 
@@ -19,7 +18,5 @@ __all__ = [
     "AccessPattern",
     "DRAMModel",
     "HardwarePlatform",
-    "Peripheral",
-    "PeripheralClass",
     "StorageDevice",
 ]

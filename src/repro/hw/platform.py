@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import HardwareError
 from repro.hw.memory import DRAMModel
-from repro.hw.peripherals import Peripheral
 from repro.hw.storage import StorageDevice
 
 if TYPE_CHECKING:
@@ -16,14 +15,13 @@ if TYPE_CHECKING:
 
 @dataclass(slots=True)
 class HardwarePlatform:
-    """A board description: CPU, DRAM, storage, and peripherals.
+    """A board description: CPU, DRAM and storage.
 
     Attributes:
         name: Board name, e.g. ``"UE48H6200"``.
         cpu_cores: Number of application-processor cores.
         dram: DRAM model (size and init cost).
         storage: Primary boot storage device.
-        peripherals: Components attached to the board, keyed by name.
         decompress_bps: Aggregate decompression throughput with all cores
             (the §2.3 figure; 35 MiB/s for the 8-core Galaxy S6).
     """
@@ -32,7 +30,6 @@ class HardwarePlatform:
     cpu_cores: int
     dram: DRAMModel
     storage: StorageDevice
-    peripherals: dict[str, Peripheral] = field(default_factory=dict)
     decompress_bps: int = 35 * (1 << 20)
 
     def __post_init__(self) -> None:
@@ -46,21 +43,3 @@ class HardwarePlatform:
         self.storage.attach(engine)
         return self
 
-    def peripheral(self, name: str) -> Peripheral:
-        """Look up a peripheral by name.
-
-        Raises:
-            HardwareError: If the board has no such peripheral.
-        """
-        try:
-            return self.peripherals[name]
-        except KeyError:
-            raise HardwareError(f"{self.name}: no peripheral {name!r}") from None
-
-    def boot_critical_peripherals(self) -> list[Peripheral]:
-        """Peripherals a TV must bring up before boot completion."""
-        return [p for p in self.peripherals.values() if p.boot_critical_for_tv]
-
-    def deferrable_peripherals(self) -> list[Peripheral]:
-        """Peripherals whose drivers BB may defer past boot completion."""
-        return [p for p in self.peripherals.values() if not p.boot_critical_for_tv]

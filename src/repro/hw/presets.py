@@ -7,10 +7,9 @@ share mutable device state).
 from __future__ import annotations
 
 from repro.hw.memory import DRAMModel
-from repro.hw.peripherals import Peripheral, PeripheralClass
 from repro.hw.platform import HardwarePlatform
 from repro.hw.storage import StorageDevice
-from repro.quantities import GiB, MiB, msec, usec
+from repro.quantities import GiB, MiB, usec
 
 
 def emmc_ue48h6200() -> StorageDevice:
@@ -42,31 +41,6 @@ def ufs_galaxy_s6() -> StorageDevice:
                          request_latency_ns=usec(50), capacity_bytes=GiB(32))
 
 
-def _tv_peripherals() -> dict[str, Peripheral]:
-    components = [
-        Peripheral("tuner", PeripheralClass.BROADCAST, hw_init_ns=msec(60), driver="tuner_drv"),
-        Peripheral("demux", PeripheralClass.BROADCAST, hw_init_ns=msec(25), driver="demux_drv"),
-        Peripheral("video-decoder", PeripheralClass.BROADCAST, hw_init_ns=msec(35),
-                   driver="vdec_drv"),
-        Peripheral("audio-decoder", PeripheralClass.BROADCAST, hw_init_ns=msec(20),
-                   driver="adec_drv"),
-        Peripheral("display-panel", PeripheralClass.DISPLAY, hw_init_ns=msec(45),
-                   driver="panel_drv"),
-        Peripheral("remote-receiver", PeripheralClass.INPUT, hw_init_ns=msec(8),
-                   driver="ir_drv"),
-        Peripheral("hdmi", PeripheralClass.EXPANSION, hw_init_ns=msec(30), driver="hdmi_drv"),
-        Peripheral("usb", PeripheralClass.EXPANSION, hw_init_ns=msec(40), driver="usb_drv"),
-        Peripheral("ethernet", PeripheralClass.CONNECTIVITY, hw_init_ns=msec(35),
-                   driver="eth_drv"),
-        Peripheral("wifi", PeripheralClass.CONNECTIVITY, hw_init_ns=msec(55), driver="wifi_drv"),
-        Peripheral("bluetooth", PeripheralClass.CONNECTIVITY, hw_init_ns=msec(30),
-                   driver="bt_drv"),
-        Peripheral("power-domains", PeripheralClass.PLATFORM, hw_init_ns=msec(10),
-                   driver="pm_drv"),
-    ]
-    return {p.name: p for p in components}
-
-
 def ue48h6200() -> HardwarePlatform:
     """The evaluation board: 2014 Samsung UHD Smart TV UE48H6200 (§4).
 
@@ -77,33 +51,17 @@ def ue48h6200() -> HardwarePlatform:
         cpu_cores=4,
         dram=DRAMModel(size_bytes=GiB(1)),
         storage=emmc_ue48h6200(),
-        peripherals=_tv_peripherals(),
     )
 
 
 def nx300() -> HardwarePlatform:
     """NX300-like Tizen camera (§2.1): dual core, 512 MiB DRAM, small flash."""
-    peripherals = {
-        "lens": Peripheral("lens", PeripheralClass.BROADCAST, hw_init_ns=msec(120),
-                           driver="lens_drv"),
-        "sensor": Peripheral("sensor", PeripheralClass.BROADCAST, hw_init_ns=msec(80),
-                             driver="sensor_drv"),
-        "display-panel": Peripheral("display-panel", PeripheralClass.DISPLAY,
-                                    hw_init_ns=msec(40), driver="panel_drv"),
-        "shutter-button": Peripheral("shutter-button", PeripheralClass.INPUT,
-                                     hw_init_ns=msec(5), driver="key_drv"),
-        "wifi": Peripheral("wifi", PeripheralClass.CONNECTIVITY, hw_init_ns=msec(55),
-                           driver="wifi_drv"),
-        "usb": Peripheral("usb", PeripheralClass.EXPANSION, hw_init_ns=msec(40),
-                          driver="usb_drv"),
-    }
     return HardwarePlatform(
         name="NX300",
         cpu_cores=2,
         dram=DRAMModel(size_bytes=MiB(512)),
         storage=StorageDevice("eMMC-camera", seq_read_bps=MiB(90), rand_read_bps=MiB(25),
                               capacity_bytes=GiB(4)),
-        peripherals=peripherals,
     )
 
 
@@ -114,23 +72,10 @@ def galaxy_s6_like() -> HardwarePlatform:
     a 3 GiB hibernation image at ~300 MiB/s costs ~10 s, and 8-core
     decompression reaches only 35 MiB/s.
     """
-    peripherals = {
-        "display-panel": Peripheral("display-panel", PeripheralClass.DISPLAY,
-                                    hw_init_ns=msec(50), driver="panel_drv"),
-        "touchscreen": Peripheral("touchscreen", PeripheralClass.INPUT,
-                                  hw_init_ns=msec(15), driver="touch_drv"),
-        "modem": Peripheral("modem", PeripheralClass.BROADCAST, hw_init_ns=msec(200),
-                            driver="modem_drv"),
-        "wifi": Peripheral("wifi", PeripheralClass.CONNECTIVITY, hw_init_ns=msec(55),
-                           driver="wifi_drv"),
-        "usb": Peripheral("usb", PeripheralClass.EXPANSION, hw_init_ns=msec(40),
-                          driver="usb_drv"),
-    }
     return HardwarePlatform(
         name="Galaxy-S6-like",
         cpu_cores=8,
         dram=DRAMModel(size_bytes=GiB(3)),
         storage=ufs_galaxy_s6(),
-        peripherals=peripherals,
         decompress_bps=MiB(35),
     )

@@ -23,7 +23,6 @@ The package provides the substrate BB's user-space engines are built into:
 
 from repro.initsys.executor import JobExecutor
 from repro.initsys.manager import BootCompletion, InitManager, ManagerConfig
-from repro.initsys.memory_pressure import MemoryPressureManager
 from repro.initsys.outoforder import OutOfOrderInitScheme
 from repro.initsys.registry import UnitRegistry
 from repro.initsys.runlevels import AdvancedBootScript
@@ -43,7 +42,6 @@ __all__ = [
     "JobExecutor",
     "JobState",
     "ManagerConfig",
-    "MemoryPressureManager",
     "OutOfOrderInitScheme",
     "RestartPolicy",
     "STARTUP_TASKS",

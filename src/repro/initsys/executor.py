@@ -100,24 +100,6 @@ class PathRegistry:
         self._watchers.setdefault(path, []).append(completion)
         yield Wait(completion)
 
-    def poll_for(self, path: str, interval_ns: int,
-                 check_cpu_ns: int) -> "ProcessGenerator":
-        """Generator: poll until ``path`` exists (the §2.5.1 path-check).
-
-        Unlike :meth:`wait_for`, each probe costs CPU and the discovery
-        latency is quantized to the polling interval — the inefficiency
-        that makes retrofitted out-of-order schemes slow.
-
-        Returns:
-            Number of polls taken.
-        """
-        polls = 0
-        while path not in self._paths:
-            yield Compute(check_cpu_ns)
-            polls += 1
-            yield Timeout(interval_ns)
-        return polls
-
     @property
     def paths(self) -> frozenset[str]:
         """Snapshot of all existing paths."""

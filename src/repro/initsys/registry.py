@@ -72,47 +72,6 @@ class UnitRegistry:
         self.add(unit)
         return unit
 
-    def load_directory(self, path) -> list[Unit]:
-        """Load every unit file from a directory (like /usr/lib/systemd).
-
-        Files whose suffix is a known unit type (``.service``, ``.socket``,
-        ``.mount``, ``.target``, ``.path``, ``.device``) are parsed and
-        registered, in sorted filename order for determinism.  Drop-in
-        directories are honoured: every ``<unit>.d/*.conf`` is merged onto
-        its unit with systemd semantics (scalars override, list keys
-        append, an empty assignment resets).
-
-        Returns:
-            The units loaded.
-
-        Raises:
-            UnitError: On duplicates; parse errors propagate as
-                :class:`~repro.errors.UnitParseError` with the filename.
-        """
-        from pathlib import Path
-
-        from repro.initsys.unitfile import merge_parsed
-        from repro.initsys.units import UnitType
-
-        suffixes = {f".{t.value}" for t in UnitType}
-        directory = Path(path)
-        loaded = []
-        for file_path in sorted(directory.iterdir()):
-            if file_path.suffix not in suffixes or not file_path.is_file():
-                continue
-            parsed = parse_unit_file(file_path.read_text(), name=file_path.name)
-            dropin_dir = directory / f"{file_path.name}.d"
-            if dropin_dir.is_dir():
-                for conf in sorted(dropin_dir.glob("*.conf")):
-                    overlay = parse_unit_file(conf.read_text(),
-                                              name=str(conf.name))
-                    overlay.name = parsed.name
-                    parsed = merge_parsed(parsed, overlay)
-            unit = Unit.from_parsed(parsed)
-            self.add(unit)
-            loaded.append(unit)
-        return loaded
-
     def dump_unit_text(self, name: str) -> str:
         """Render a registered unit back to unit-file text."""
         return render_unit_file(self.get(name).to_parsed())

@@ -76,18 +76,3 @@ SUBMODULE_TASKS: tuple[StartupTask, ...] = (
     StartupTask("session-seat-setup", cpu_ns=msec(84), deferrable=True),
     StartupTask("timer-and-calendar-setup", cpu_ns=msec(66), deferrable=True),
 )
-
-
-def core_startup_cost_ns() -> int:
-    """Total cost of the non-deferrable manager start-up (71 ms)."""
-    return sum(t.cpu_ns for t in STARTUP_TASKS if not t.deferrable)
-
-
-def deferrable_startup_cost_ns() -> int:
-    """Total cost BB removes from manager start-up (124 ms)."""
-    return sum(t.cpu_ns for t in STARTUP_TASKS if t.deferrable)
-
-
-def submodule_cost_ns() -> int:
-    """Total init sub-module cost deferred by the Deferred Executor (496 ms)."""
-    return sum(t.cpu_ns for t in SUBMODULE_TASKS)

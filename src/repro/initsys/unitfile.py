@@ -163,39 +163,6 @@ def parse_unit_file(text: str, name: str = "<string>") -> ParsedUnitFile:
     return UnitFileParser().parse(text, name=name)
 
 
-def merge_parsed(base: ParsedUnitFile, overlay: ParsedUnitFile) -> ParsedUnitFile:
-    """Apply a drop-in overlay to a parsed unit file (systemd semantics).
-
-    Scalar keys in the overlay override the base; list keys *append* to
-    the base — except that an overlay which reset the list (``Requires=``
-    with an empty value parses to ``[]``) replaces it, which is exactly
-    how administrators neutralize a vendor's abusive ordering without
-    touching the vendor's file.
-    """
-    merged = ParsedUnitFile(name=base.name,
-                            line_count=base.line_count + overlay.line_count,
-                            byte_count=base.byte_count + overlay.byte_count)
-    for section, table in base.sections.items():
-        merged.sections[section] = {
-            key: (list(value) if isinstance(value, list) else value)
-            for key, value in table.items()}
-    for section, table in overlay.sections.items():
-        target = merged.sections.setdefault(section, {})
-        for key, value in table.items():
-            if isinstance(value, list):
-                if not value:
-                    target[key] = []  # explicit reset
-                else:
-                    existing = target.get(key)
-                    if isinstance(existing, list):
-                        target[key] = existing + list(value)
-                    else:
-                        target[key] = list(value)
-            else:
-                target[key] = value
-    return merged
-
-
 def render_unit_file(parsed: ParsedUnitFile) -> str:
     """Serialize a :class:`ParsedUnitFile` back to unit-file text.
 

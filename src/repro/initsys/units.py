@@ -193,12 +193,6 @@ class Unit:
             raise UnitError(f"{self.name}: start-limit values cannot be "
                             f"negative")
 
-    @property
-    def is_daemon(self) -> bool:
-        """Whether the main process keeps running after start-up."""
-        return (self.unit_type is UnitType.SERVICE
-                and self.service_type is not ServiceType.ONESHOT)
-
     def with_cost(self, **changes: object) -> "Unit":
         """Copy of this unit with :class:`SimCost` fields replaced."""
         clone = replace_unit(self)

@@ -67,14 +67,6 @@ class KernelImage:
         decompress_ns = transfer_time_ns(self.size_bytes, decompress_bps)
         return max(read_ns, decompress_ns)
 
-    def compression_helps(self, storage: StorageDevice, decompress_bps: int) -> bool:
-        """§2.3's question: is the compressed load faster on this device?"""
-        plain = KernelImage(self.size_bytes, compressed=False)
-        packed = KernelImage(self.size_bytes, compressed=True,
-                             compression_ratio=self.compression_ratio)
-        return (packed.load_time_ns(storage, decompress_bps)
-                < plain.load_time_ns(storage, decompress_bps))
-
 
 def compression_crossover_bps(compression_ratio: float, decompress_bps: int) -> int:
     """Storage sequential throughput below which compression starts to pay.

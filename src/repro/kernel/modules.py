@@ -97,9 +97,3 @@ class ModuleLoader:
         self.loaded.add(module.name)
         self.bytes_loaded += module.size_bytes
         return True
-
-    def load_all(self, engine: "Simulator",
-                 modules: list[KernelModule]) -> "ProcessGenerator":
-        """Generator: load a list of modules sequentially (one kmod worker)."""
-        for module in modules:
-            yield from self.load(engine, module)

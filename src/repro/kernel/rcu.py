@@ -106,10 +106,6 @@ class RCUSubsystem:
         else:
             raise KernelError(f"invalid write to {self.SYSFS_PATH}: {value!r}")
 
-    def read_sysfs(self) -> str:
-        """Current sysfs value (``"1"`` when boosted)."""
-        return "1" if self.mode is RCUMode.BOOSTED else "0"
-
     @property
     def spin_time_ns(self) -> int:
         """Total CPU burned spinning in Algorithm 1 so far."""

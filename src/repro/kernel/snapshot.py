@@ -19,6 +19,10 @@ from repro.quantities import msec, transfer_time_ns
 
 #: EU Commission Regulation No 801/2013: standby power cap for TVs.
 EU_STANDBY_LIMIT_W = 1.0
+#: Fraction of a hibernation image the bootloader reads to verify it.
+CHECKSUM_FRACTION = 0.02
+#: Fixed cost of a snapshot integrity check around its image read.
+CHECKSUM_OVERHEAD_NS = msec(50)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,12 +88,10 @@ class SnapshotVerification:
 
 def verify_snapshot(model: HibernationModel, platform: HardwarePlatform,
                     seed: int, corrupt_rate: float = 0.0,
-                    checksum_fraction: float = 0.02,
-                    checksum_overhead_ns: int = msec(50),
                     ) -> SnapshotVerification:
     """Simulated integrity check of a stored hibernation image.
 
-    The bootloader reads ``checksum_fraction`` of the image (header plus
+    The bootloader reads :data:`CHECKSUM_FRACTION` of the image (header plus
     sampled pages) and verifies checksums before committing to a restore —
     the fail-safe real devices ship, because a power cut mid-
     :meth:`HibernationModel.create_time_ns` leaves a torn image on flash.
@@ -98,18 +100,12 @@ def verify_snapshot(model: HibernationModel, platform: HardwarePlatform,
     replays are byte-identical.
 
     Raises:
-        KernelError: If ``corrupt_rate`` or ``checksum_fraction`` is out
-            of range.
+        KernelError: If ``corrupt_rate`` is out of range.
     """
     if not 0.0 <= corrupt_rate <= 1.0:
         raise KernelError(f"corrupt_rate must be in [0, 1]: {corrupt_rate}")
-    if not 0.0 < checksum_fraction <= 1.0:
-        raise KernelError(
-            f"checksum_fraction must be in (0, 1]: {checksum_fraction}")
-    if checksum_overhead_ns < 0:
-        raise KernelError("checksum overhead cannot be negative")
-    read_bytes = round(model.image_bytes(platform) * checksum_fraction)
-    verify_ns = checksum_overhead_ns + transfer_time_ns(
+    read_bytes = round(model.image_bytes(platform) * CHECKSUM_FRACTION)
+    verify_ns = CHECKSUM_OVERHEAD_NS + transfer_time_ns(
         read_bytes, platform.storage.seq_read_bps)
     digest = hashlib.sha256(
         repr((seed, "snapshot-corrupt")).encode()).digest()

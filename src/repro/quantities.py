@@ -61,11 +61,6 @@ def GiB(value: float) -> int:
     return round(value * BYTES_PER_GIB)
 
 
-def to_mib(nbytes: int) -> float:
-    """Convert integer bytes to float MiB."""
-    return nbytes / BYTES_PER_MIB
-
-
 def transfer_time_ns(nbytes: int, throughput_bytes_per_sec: int) -> int:
     """Time to transfer ``nbytes`` at ``throughput_bytes_per_sec``.
 
@@ -98,18 +93,3 @@ def format_ns(ns: int) -> str:
     if ns >= NSEC_PER_USEC:
         return f"{ns / NSEC_PER_USEC:.3f} us"
     return f"{ns} ns"
-
-
-def format_bytes(nbytes: int) -> str:
-    """Render a byte count in the most readable binary unit.
-
-    >>> format_bytes(8 * BYTES_PER_GIB)
-    '8.00 GiB'
-    """
-    if nbytes >= BYTES_PER_GIB:
-        return f"{nbytes / BYTES_PER_GIB:.2f} GiB"
-    if nbytes >= BYTES_PER_MIB:
-        return f"{nbytes / BYTES_PER_MIB:.2f} MiB"
-    if nbytes >= BYTES_PER_KIB:
-        return f"{nbytes / BYTES_PER_KIB:.2f} KiB"
-    return f"{nbytes} B"

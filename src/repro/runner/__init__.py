@@ -34,8 +34,7 @@ boots as ``SimJob``\\ s and submit them through a shared runner, so
 (workload, config, cores) twice.
 """
 
-from repro.runner.branch import (BranchRunner, BranchStats, canonical_bytes,
-                                 default_backend)
+from repro.runner.branch import BranchRunner, BranchStats, canonical_bytes
 from repro.runner.cache import CacheStats, ResultCache
 from repro.runner.jobs import (SimJob, code_version, execute_job,
                                make_boot_simulation)
@@ -57,7 +56,6 @@ __all__ = [
     "Ticket",
     "canonical_bytes",
     "code_version",
-    "default_backend",
     "execute_job",
     "make_boot_simulation",
     "plan_batch",

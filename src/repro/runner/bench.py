@@ -283,8 +283,7 @@ def checkpoint_matrix(cells: int = 120) -> list[Any]:
     return jobs
 
 
-def bench_checkpoint(cells: int = 120,
-                     backend: str | None = None) -> dict[str, Any]:
+def bench_checkpoint(cells: int = 120) -> dict[str, Any]:
     """Cold-cache wall time of the matrix: from-scratch vs branched.
 
     Both legs run serially (``jobs=1``) on fresh caches, so the measured
@@ -293,16 +292,15 @@ def bench_checkpoint(cells: int = 120,
     :class:`~repro.runner.oracle.SerialReplay`, which then compares the
     branched results cell by cell.
     """
-    from repro.runner.branch import canonical_bytes, default_backend
+    from repro.runner.branch import canonical_bytes
     from repro.runner.oracle import SerialReplay
 
-    backend = backend or default_backend()
     jobs = checkpoint_matrix(cells)
 
     replay = SerialReplay([(job, 1) for job in jobs])
 
     start = time.perf_counter()
-    with SweepRunner(jobs=1, branch=True, branch_backend=backend) as runner:
+    with SweepRunner(jobs=1, branch=True) as runner:
         branched = runner.run(jobs)
         stats = runner.stats
     branched_s = time.perf_counter() - start
@@ -311,7 +309,6 @@ def bench_checkpoint(cells: int = 120,
         zip(replay.fingerprints, map(canonical_bytes, branched)), "branched")
     return {
         "cells": len(jobs),
-        "backend": backend,
         "scratch_wall_s": replay.wall_s,
         "branched_wall_s": branched_s,
         "speedup": replay.wall_s / branched_s if branched_s else 0.0,
@@ -411,7 +408,6 @@ def build_record(jobs: int, events: int = 200_000,
                  cache_dir: str | None = None,
                  skip_checkpoint: bool = False,
                  checkpoint_cells: int = 120,
-                 checkpoint_backend: str | None = None,
                  skip_predict: bool = False,
                  skip_fleet: bool = False) -> dict[str, Any]:
     """The full ``BENCH_runner.json`` payload."""
@@ -422,8 +418,7 @@ def build_record(jobs: int, events: int = 200_000,
         "cache": bench_cache(),
     }
     if not skip_checkpoint:
-        record["checkpoint"] = bench_checkpoint(cells=checkpoint_cells,
-                                                backend=checkpoint_backend)
+        record["checkpoint"] = bench_checkpoint(cells=checkpoint_cells)
     if not skip_predict:
         record["design_space"] = bench_design_space()
     if not skip_sweep:

@@ -12,15 +12,13 @@ is byte-exact):
 2. **Divergence** — at each query, the observer checks every still
    pending cell's throwaway injector against that one query
    (:func:`~repro.sim.checkpoint.first_divergence`).
-3. **Branch** — for each cell the query perturbs, the ``fork`` backend
+3. **Branch** — for each cell the query perturbs, the trunk
    ``os.fork()``\\ s a copy-on-write child on the spot.  The child
    installs the cell's plan, answers this query from the cell's own
    injector, runs to quiescence as that cell and pipes the pickled report
-   back, while the parent trunk keeps answering null.  The ``replay``
-   backend runs the same trunk once per cell, carrying only that cell,
-   and installs the plan in-process at the cell's first perturbed query —
-   no speedup, same code path, for platforms without ``fork`` and for
-   byte-identity cross-checks.
+   back, while the parent trunk keeps answering null.  A checkpoint is a
+   fork, so branching needs POSIX ``fork``; where it is missing,
+   :class:`~repro.runner.sweep.SweepRunner` runs every cell from scratch.
 
 The null cell gets the trunk's report; a cell whose plan never perturbs
 a query gets that report with its own all-zero fault tally.  A child
@@ -43,12 +41,6 @@ from typing import Any, NoReturn
 from repro.errors import SimulationError
 from repro.runner.jobs import SimJob, execute_job, make_boot_simulation
 from repro.sim.checkpoint import InjectorSlot, first_divergence
-
-#: Branch backends.  ``fork`` is the fast path (copy-on-write children);
-#: ``replay`` runs one trunk per cell in-process and exists for
-#: non-forkable platforms and identity cross-checks.
-BACKEND_FORK = "fork"
-BACKEND_REPLAY = "replay"
 
 
 def canonical_bytes(value: Any) -> bytes:
@@ -83,23 +75,15 @@ def _canonical(value: Any) -> Any:
     return value
 
 
-def default_backend() -> str:
-    """``fork`` where POSIX fork exists, ``replay`` elsewhere."""
-    return BACKEND_FORK if hasattr(os, "fork") else BACKEND_REPLAY
-
-
 @dataclass(slots=True)
 class BranchStats:
     """What one :class:`BranchRunner` did across its lifetime.
 
     Attributes:
         groups: Prefix groups executed via branching.
-        prefix_boots: Trunk boots run (one per group under ``fork``; one
-            per cell under ``replay``).
-        branched: Cells resolved by branching (forked + replayed +
-            no-divergence).
+        prefix_boots: Trunk boots run, one per group.
+        branched: Cells resolved by branching (forked + no-divergence).
         forked: Cells executed in copy-on-write fork children.
-        replayed: Cells executed in-process on their own trunk.
         no_divergence: Cells answered from a trunk's report because their
             plan perturbs no query the trunk asks.
         fallbacks: Cells that fell back to a from-scratch run (their trunk
@@ -110,7 +94,6 @@ class BranchStats:
     prefix_boots: int = 0
     branched: int = 0
     forked: int = 0
-    replayed: int = 0
     no_divergence: int = 0
     fallbacks: int = 0
 
@@ -205,14 +188,12 @@ class _Trunk:
     """One fault-free trunk boot and the observer that branches its cells.
 
     The observer sees every fault query the trunk asks.  A cell whose
-    throwaway injector perturbs the query branches there: with a fork
-    pool the parent forks a child that becomes the cell and keeps
-    answering null itself; without one the trunk becomes the cell
-    in-process (the replay backend carries one cell per trunk).
+    throwaway injector perturbs the query branches there: the parent
+    forks a child that becomes the cell and keeps answering null itself.
     """
 
     def __init__(self, prefix_job: SimJob, cells: list[tuple[str, SimJob]],
-                 pool: _ForkPool | None):
+                 pool: _ForkPool):
         self.pool = pool
         self.slot = InjectorSlot(observer=self._observe)
         self.simulation = make_boot_simulation(prefix_job,
@@ -221,8 +202,6 @@ class _Trunk:
         self.pending = [(fp, job, job.fault_plan.compile()
                          if job.fault_plan is not None else None)
                         for fp, job in cells]
-        #: The cell this run became, if it branched in this process.
-        self.became: str | None = None
         #: In a fork child: the write end of its pipe.
         self.pipe: int | None = None
 
@@ -237,24 +216,22 @@ class _Trunk:
                 pending.append(cell)
         self.pending = pending
         for fingerprint, job, _probe in diverged:
-            if self.pool is not None:
-                pipe = self.pool.fork(fingerprint)
-                if pipe is None:
-                    continue  # the parent trunk keeps answering null
-                self.pipe = pipe
-            self.became = fingerprint
+            pipe = self.pool.fork(fingerprint)
+            if pipe is None:
+                continue  # the parent trunk keeps answering null
+            self.pipe = pipe
             self.simulation.install_plan(job.fault_plan)
             return
 
     def run(self) -> Any:
         """Boot to the end: a report or post-mortem, or ``None`` for a
-        trunk that degraded before it became a cell."""
+        trunk that degraded in the parent, before it became a cell."""
         from repro.core.degraded import DegradedBootError
 
         try:
             return self.simulation.run()
         except DegradedBootError as exc:
-            return exc.report if self.became is not None else None
+            return exc.report if self.pipe is not None else None
         finally:
             # slot -> observer -> trunk is a cycle holding every outcome.
             self.slot.observer = None
@@ -264,23 +241,19 @@ class BranchRunner:
     """Executes prefix-sharing job groups as one trunk + many branches.
 
     Args:
-        backend: ``"fork"`` or ``"replay"``; ``None`` picks
-            :func:`default_backend`.
-        jobs: Maximum concurrent fork children (the replay backend is
-            always serial).
+        jobs: Maximum concurrent fork children.
         min_group: Smallest group worth branching.  A branched group
             costs one full trunk boot plus a fork per diverging cell, so
             groups below this threshold run from scratch.
+
+    Raises:
+        SimulationError: On a platform without ``os.fork``.
     """
 
-    def __init__(self, backend: str | None = None, jobs: int = 1,
-                 min_group: int = 3):
-        backend = backend if backend is not None else default_backend()
-        if backend not in (BACKEND_FORK, BACKEND_REPLAY):
-            raise SimulationError(f"unknown branch backend {backend!r}")
-        if backend == BACKEND_FORK and not hasattr(os, "fork"):
-            raise SimulationError("fork backend unavailable on this platform")
-        self.backend = backend
+    def __init__(self, jobs: int = 1, min_group: int = 3):
+        if not hasattr(os, "fork"):
+            raise SimulationError("branching needs os.fork, which this "
+                                  "platform lacks")
         self.jobs = max(1, int(jobs))
         self.min_group = max(2, int(min_group))
         self.stats = BranchStats()
@@ -316,35 +289,24 @@ class BranchRunner:
     # ----------------------------------------------------------- execution
 
     def run_group(self, group: list[tuple[str, SimJob]]) -> dict[str, Any]:
-        """Execute one prefix-sharing group; returns fingerprint -> result."""
-        if not group:
-            return {}
-        self.stats.groups += 1
-        prefix_job = group[0][1].prefix_job()
-        results: dict[str, Any] = {}
-        if self.backend == BACKEND_FORK:
-            self._run_trunk(prefix_job, group, results, _ForkPool(self.jobs))
-        else:
-            for cell in group:
-                self._run_trunk(prefix_job, [cell], results, None)
-        return results
-
-    def _run_trunk(self, prefix_job: SimJob, cells: list[tuple[str, SimJob]],
-                   results: dict[str, Any], pool: _ForkPool | None) -> None:
-        """Boot one trunk carrying ``cells`` and settle each of them.
+        """Execute one prefix-sharing group as one trunk boot; returns
+        fingerprint -> result.
 
         A fork child never returns from here: it leaves through
         :func:`_exit_child` in the ``finally`` below, whatever its run did.
         """
-        trunk = _Trunk(prefix_job, cells, pool)
+        if not group:
+            return {}
+        self.stats.groups += 1
+        pool = _ForkPool(self.jobs)
+        trunk = _Trunk(group[0][1].prefix_job(), group, pool)
         self.stats.prefix_boots += 1
         outcome: tuple[str, Any] = ("err", "branch child left its trunk")
         try:
             outcome = ("ok", trunk.run())
         except BaseException:
             if trunk.pipe is None:
-                if pool is not None:
-                    pool.drain()  # leave no child unreaped
+                pool.drain()  # leave no child unreaped
                 raise
             outcome = ("err", traceback.format_exc())
         finally:
@@ -352,20 +314,16 @@ class BranchRunner:
                 _exit_child(trunk.pipe, outcome)
         report = outcome[1]
 
-        jobs = dict(cells)
-        if trunk.became is not None:
-            results[trunk.became] = report
-            self.stats.replayed += 1
-            self.stats.branched += 1
-        if pool is not None:
-            for fingerprint, (status, value) in pool.drain().items():
-                if status == "ok":
-                    results[fingerprint] = value
-                    self.stats.forked += 1
-                    self.stats.branched += 1
-                else:
-                    # A lost child costs one from-scratch run, never a cell.
-                    self._fall_back(fingerprint, jobs[fingerprint], results)
+        results: dict[str, Any] = {}
+        jobs = dict(group)
+        for fingerprint, (status, value) in pool.drain().items():
+            if status == "ok":
+                results[fingerprint] = value
+                self.stats.forked += 1
+                self.stats.branched += 1
+            else:
+                # A lost child costs one from-scratch run, never a cell.
+                self._fall_back(fingerprint, jobs[fingerprint], results)
         for fingerprint, job, _probe in trunk.pending:
             if report is None:
                 # The trunk degraded before this cell diverged.
@@ -379,6 +337,7 @@ class BranchRunner:
                     injected_faults=job.fault_plan.compile().stats.as_dict()))
             self.stats.no_divergence += 1
             self.stats.branched += 1
+        return results
 
     def _fall_back(self, fingerprint: str, job: SimJob,
                    results: dict[str, Any]) -> None:

@@ -31,12 +31,14 @@ frontier is the DES frontier.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.errors import RunnerError
+from repro.errors import RunnerError, SimulationError
+from repro.runner.branch import BranchRunner
 from repro.runner.cache import ResultCache
 from repro.runner.jobs import SimJob, execute_job
 from repro.runner.schedule import plan_batch
@@ -55,8 +57,7 @@ class SweepStats:
         branched: Unique jobs resolved as branches off a shared prefix
             (checkpoint/fork) instead of from-scratch runs.
         prefix_boots: Trunk boots the branch runner paid to resolve the
-            branched jobs: one per prefix group on the fork backend, one
-            per cell on the replay backend.
+            branched jobs, one per prefix group.
         predicted: Jobs solved analytically by the closed-form boot
             predictor during pre-filtered sweeps.
         prefilter_skipped: Predicted jobs that never reached the DES
@@ -91,10 +92,13 @@ class SweepRunner:
         branch: Route prefix-sharing job groups through the
             checkpoint/fork :class:`~repro.runner.branch.BranchRunner`
             (byte-identical results, verified by ``repro verify``; off by
-            default).
-        branch_backend: ``"fork"``/``"replay"``/``None`` (auto) — see
-            :mod:`repro.runner.branch`.
+            default).  On a platform without ``os.fork`` they run from
+            scratch instead.
+        branch_backend: ``None`` or ``"fork"``, the one backend there is.
         min_branch_group: Smallest prefix group worth branching.
+
+    Raises:
+        SimulationError: For any other ``branch_backend``.
 
     Use as a context manager (or call :meth:`close`) to shut down the
     worker pool; a never-used pool costs nothing.
@@ -103,10 +107,12 @@ class SweepRunner:
     def __init__(self, jobs: int = 1, cache: ResultCache | None = None,
                  branch: bool = False, branch_backend: str | None = None,
                  min_branch_group: int = 3):
+        if branch_backend not in (None, "fork"):
+            raise SimulationError(f"unknown branch backend {branch_backend!r} "
+                                  "(the only one is 'fork')")
         self.jobs = max(1, int(jobs))
         self.cache = cache if cache is not None else ResultCache()
         self.branch = bool(branch)
-        self.branch_backend = branch_backend
         self.min_branch_group = min_branch_group
         self.stats = SweepStats()
         self._pool: ProcessPoolExecutor | None = None
@@ -140,8 +146,7 @@ class SweepRunner:
         missing = plan.missing
 
         # Branch cut: groups sharing a prefix run as one trunk boot plus
-        # forked branches (before the pool sees anything, so fork
-        # children are never spawned from a thread-carrying process).
+        # forked branches.
         if missing and self.branch:
             missing = self._run_branched(missing, results)
 
@@ -191,10 +196,6 @@ class SweepRunner:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-
-    def run_one(self, job: SimJob) -> Any:
-        """Convenience wrapper: run a single job through dedup + cache."""
-        return self.run([job])[0]
 
     def run_prefiltered(self, jobs: Sequence[SimJob],
                         top_k: int) -> "PrefilterOutcome":
@@ -269,11 +270,16 @@ class SweepRunner:
     def _run_branched(self, missing: list[tuple[str, SimJob]],
                       results: dict[str, Any]) -> list[tuple[str, SimJob]]:
         """Resolve branchable prefix groups; returns the unbranched rest."""
-        from repro.runner.branch import BranchRunner
-
-        runner = BranchRunner(backend=self.branch_backend, jobs=self.jobs,
-                              min_group=self.min_branch_group)
+        if not hasattr(os, "fork"):
+            return missing
+        runner = BranchRunner(jobs=self.jobs, min_group=self.min_branch_group)
         groups, rest = runner.partition(missing)
+        if groups:
+            # Fork children must start from a single-threaded process: a
+            # lock that the worker pool's management or feeder thread holds
+            # at the fork stays held in the child.  So the pool goes
+            # first; the next pooled batch re-creates it.
+            self.close()
         for group in groups:
             for fingerprint, outcome in runner.run_group(group).items():
                 self.cache.put(fingerprint, outcome)

@@ -24,8 +24,8 @@ So up to its first perturbed answer a cell asks the same questions as the
 null run, in the same order, and gets the same answers: its run *is* the
 trunk's run up to that query.  The slot offers every query to an
 observer before answering it; at a cell's first perturbed query the
-observer branches (a copy-on-write fork child, or the trunk itself) and
-the branch installs the cell's injector, which answers this very query.
+observer forks a copy-on-write child, and the child installs the cell's
+injector, which answers this very query.
 From there the branch is the cell's own from-scratch run, continued on
 the same stack: byte-identical by construction, with no pause and no
 replay.  :class:`~repro.runner.branch.BranchRunner` drives this.

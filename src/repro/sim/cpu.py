@@ -8,10 +8,11 @@ asserted.
 
 Scheduling is priority-based (lower number first, FIFO within a priority)
 and time-sliced: a long computation is split into ``quantum_ns`` slices, and
-between slices the process goes back through the run queue at its current
-priority.  A priority change therefore takes effect within one quantum —
-this is the hook the Booting Booster Manager uses to push BB-Group services
-ahead of everything else.
+between slices the process goes back through the run queue at its priority,
+so a queued process of a better priority takes the core within one quantum.
+A process's priority is set once, at spawn: the Booting Booster Manager
+spawns BB-Group start jobs at a boosted priority, which puts them ahead of
+everything else.
 
 The run queue is a heap of plain ``(priority, seq, process, remaining_ns)``
 tuples.  ``seq`` is unique, so every heap comparison is a C-level
@@ -213,9 +214,8 @@ class CPU:
                     # for the resubmission and once for the slice end.
                     monitor.on_cpu(self)
         if remaining_ns > 0 and process._pending_interrupt is None:
-            # Quantum boundary.  Re-read the priority: BB Manager may have
-            # boosted the process while it was running, and it must take
-            # effect promptly.
+            # Quantum boundary: the process re-enters the run queue at its
+            # priority, behind anything queued that is more urgent.
             seq = self._seq
             self._seq = seq + 1
             if len(queue) >= stats.peak_runnable:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.cpu import CPU, DEFAULT_QUANTUM_NS, DEFAULT_SWITCH_COST_NS
 from repro.sim.events import EventQueue, ScheduledEvent
@@ -85,22 +85,19 @@ class Simulator:
         return self.clock.now
 
     def spawn(self, gen: ProcessGenerator, name: str,
-              priority: int = DEFAULT_PRIORITY, daemon: bool = False) -> Process:
+              priority: int = DEFAULT_PRIORITY) -> Process:
         """Create a process from a generator and schedule its first step.
 
         Args:
             gen: The generator to run (already called, not the function).
             name: Identifier used in traces and error reports.
             priority: Scheduling priority; lower runs first.
-            daemon: Daemon processes (long-running services) are allowed to
-                outlive the event queue without tripping deadlock detection.
 
         Returns:
             The new :class:`~repro.sim.process.Process`; wait for it with
             ``yield Wait(p.done)`` or check ``p.result`` after :meth:`run`.
         """
         process = Process(self, gen, name=name, priority=priority)
-        process.daemon = daemon
         self.processes.append(process)
         self.events.push(self.clock._now, self._first_step, process)
         return process
@@ -119,16 +116,13 @@ class Simulator:
         """Schedule ``callback(*args)`` ``delay_ns`` from now."""
         return self.call_at(self.now + delay_ns, callback, *args)
 
-    def run(self, until_ns: int | None = None, check_deadlock: bool = False) -> int:
+    def run(self, until_ns: int | None = None) -> int:
         """Run the event loop.
 
         Args:
             until_ns: Stop (without executing later events) once the next
                 event lies strictly beyond this time; ``None`` runs to
                 quiescence.
-            check_deadlock: If True and the queue drains while non-daemon
-                processes are still blocked, raise
-                :class:`~repro.errors.DeadlockError`.
 
         Returns:
             The simulation time when the loop stopped.
@@ -161,11 +155,6 @@ class Simulator:
                 _failed, exc = self._pending_failure
                 self._pending_failure = None
                 raise exc
-        if check_deadlock:
-            blocked = [p.name for p in self.processes
-                       if p.alive and not getattr(p, "daemon", False)]
-            if blocked:
-                raise DeadlockError(blocked)
         if until_ns is not None and until_ns > clock._now:
             clock.advance_to(until_ns)
         return clock._now

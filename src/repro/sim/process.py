@@ -119,7 +119,7 @@ class Process:
     instantiates this class directly.
 
     Attributes:
-        name: Human-readable identifier used in traces and deadlock reports.
+        name: Human-readable identifier used in traces and error reports.
         priority: Scheduling priority; lower runs first.  Set once, at
             spawn: the BB Manager boosts BB-Group services by the priority
             their start jobs are spawned with, and nothing changes it later
@@ -138,7 +138,6 @@ class Process:
         self._gen = gen
         self.name = name
         self.priority = priority
-        self.daemon = False
         self.state = ProcessState.CREATED
         self.done: Completion = Completion(engine, name=f"{name}.done")
         self.result: Any = None

@@ -105,17 +105,6 @@ class Tracer:
         raise KeyError(f"no span named {name!r}" +
                        (f" in category {category!r}" if category else ""))
 
-    def find_instant(self, name: str) -> TraceInstant:
-        """First instant with the given name.
-
-        Raises:
-            KeyError: If no such instant exists.
-        """
-        for record in self.instants:
-            if record.name == name:
-                return record
-        raise KeyError(f"no instant named {name!r}")
-
     def iter_closed(self) -> Iterator[Span]:
         """All closed spans, in open order."""
         return (s for s in self.spans if s.closed)

@@ -15,13 +15,13 @@ pool round-trip permutes a frozenset's pickle layout.
 
 from __future__ import annotations
 
+import os
 from typing import Callable
 
 from repro.core.config import BBConfig
 from repro.faults import (DeferredFault, FaultPlan, PathFault, ServiceFault,
                           SettleFault, StorageFault)
-from repro.runner.branch import (BACKEND_FORK, BACKEND_REPLAY,
-                                 canonical_bytes, default_backend)
+from repro.runner.branch import canonical_bytes
 from repro.runner.jobs import SimJob
 from repro.runner.oracle import SerialReplay
 from repro.runner.sweep import SweepRunner
@@ -81,14 +81,12 @@ def identity_matrix(smoke: bool = False) -> list[SimJob]:
     return jobs
 
 
-def backend_configs(smoke: bool = False) -> list[tuple[str, int]]:
-    """(backend, jobs) combinations the oracle must hold under."""
-    configs = [(BACKEND_REPLAY, 1), (BACKEND_REPLAY, 2)]
-    if default_backend() == BACKEND_FORK:
-        configs += [(BACKEND_FORK, 1), (BACKEND_FORK, 2)]
-        if not smoke:
-            configs.append((BACKEND_FORK, 4))
-    return configs
+def worker_counts(smoke: bool = False) -> list[int]:
+    """Fork-child limits the oracle must hold under (none where there is
+    no ``os.fork``, because nothing branches there)."""
+    if not hasattr(os, "fork"):
+        return []
+    return [1, 2] if smoke else [1, 2, 4]
 
 
 def check_branch_identity(
@@ -97,9 +95,9 @@ def check_branch_identity(
 ) -> tuple[list[str], int, int]:
     """Run the oracle; returns ``(violations, boots, checks)``.
 
-    The matrix is replayed serially once; each (backend, jobs) combo then
-    runs it through a cold branching :class:`SweepRunner`, and the
-    replay compares every cell.
+    The matrix is replayed serially once; each worker count then runs it
+    through a cold branching :class:`SweepRunner`, and the replay
+    compares every cell.
     """
     jobs = identity_matrix(smoke)
     replay = SerialReplay([(job, 1) for job in jobs])
@@ -112,11 +110,11 @@ def check_branch_identity(
         return (f"cell {index} ({plan.label if plan else 'null'} "
                 f"seed={plan.seed if plan else '-'})")
 
-    for backend, workers in backend_configs(smoke):
-        label = f"{backend}/jobs={workers}"
+    for workers in worker_counts(smoke):
+        label = f"fork/jobs={workers}"
         if progress is not None:
             progress(label)
-        with SweepRunner(jobs=workers, branch=True, branch_backend=backend,
+        with SweepRunner(jobs=workers, branch=True,
                          min_branch_group=2) as runner:
             branched = runner.run(jobs)
         boots += runner.stats.executed + runner.stats.prefix_boots

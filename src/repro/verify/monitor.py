@@ -24,9 +24,8 @@ Checked invariants:
 * **deferred-after-completion** — work deferred past boot completion
   (Boot-up Engine / Deferred Executor) never started before the boot
   completed.
-* **quiescent** — at the end of a successful boot no non-daemon process
-  is still alive (a deadlocked waiter), and every completion unit is
-  ready.
+* **quiescent** — at the end of a successful boot no process is still
+  alive (a deadlocked waiter), and every completion unit is ready.
 
 The monitor is engine-agnostic: hooks receive live objects and never
 import BB-specific modules, so it also works on bare :class:`Simulator`
@@ -37,7 +36,7 @@ raises immediately; with ``strict=False`` violations accumulate in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import InvariantViolationError
@@ -218,8 +217,7 @@ class InvariantMonitor:
         self.stats.finishes += 1
         sim = simulation.sim
         manager = simulation.manager
-        deadlocked = [p.name for p in sim.processes
-                      if p.alive and not p.daemon]
+        deadlocked = [p.name for p in sim.processes if p.alive]
         if deadlocked:
             self._flag("quiescent",
                        "processes still blocked at quiescence: "

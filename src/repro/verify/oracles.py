@@ -155,24 +155,20 @@ def check_prediction_matches_des(workload_factory: Callable[[], Workload],
 
     gem5-style differential validation: the predictor solves the same
     boot analytically (:mod:`repro.analysis.predict`); the DES executes
-    it event by event.  Completion time must agree within
-    ``PREDICTION_TOLERANCE`` (the model is currently exact — the
-    tolerance is a guard band, not slack), the serial stage breakdown
-    must agree exactly, and every per-unit ready time the prediction
-    covers must match the simulator's.
+    it event by event.  Completion time and the serial stage breakdown
+    must agree exactly, and so must every per-unit ready time the
+    prediction covers.
     """
-    from repro.analysis.predict import PREDICTION_TOLERANCE, predict
+    from repro.analysis.predict import predict
 
     report = BootSimulation(workload_factory(), bb, cores=cores).run()
     prediction = predict(workload_factory(), bb, cores=cores)
     violations = []
-    allowance = max(1, int(PREDICTION_TOLERANCE * report.boot_complete_ns))
-    delta = prediction.boot_complete_ns - report.boot_complete_ns
-    if abs(delta) > allowance:
+    if prediction.boot_complete_ns != report.boot_complete_ns:
         violations.append(
             f"predicted: boot {prediction.boot_complete_ns} ns vs DES "
-            f"{report.boot_complete_ns} ns (delta {delta} ns exceeds "
-            f"{PREDICTION_TOLERANCE:.1%} tolerance)")
+            f"{report.boot_complete_ns} ns (delta "
+            f"{prediction.boot_complete_ns - report.boot_complete_ns} ns)")
     if prediction.kernel_ns != report.stages.kernel_ns:
         violations.append(
             f"predicted: kernel stage {prediction.kernel_ns} ns vs DES "

@@ -20,8 +20,8 @@ Nine check groups, each producing a :class:`CheckResult`:
 * **cross-cutting-laws** — "BB never slows a boot" and "more cores never
   slow a boot (modulo scheduling anomalies)" over generated workloads.
 * **branch-identity** — every cell of a mixed fault matrix run through
-  the checkpoint/fork engine (:mod:`repro.runner.branch`, both backends,
-  serial and parallel) must be canonically byte-identical to a
+  the checkpoint/fork engine (:mod:`repro.runner.branch`, at one and
+  more fork children) must be canonically byte-identical to a
   from-scratch boot (:mod:`repro.verify.branch`).
 * **fleet-identity** — a scaled-down fleet campaign through the async
   boot service (scheduler, worker shards, TCP streaming, payload dedup)

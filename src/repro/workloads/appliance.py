@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 
 from repro.hw.memory import DRAMModel
-from repro.hw.peripherals import Peripheral, PeripheralClass
 from repro.hw.platform import HardwarePlatform
 from repro.hw.storage import StorageDevice
 from repro.initsys.registry import UnitRegistry
@@ -24,23 +23,12 @@ APPLIANCE_COMPLETION_UNITS = ("control-loop.service", "door-panel.service")
 
 def appliance_platform() -> HardwarePlatform:
     """Refrigerator controller: dual-core, 512 MiB, small slow flash."""
-    peripherals = {
-        "compressor": Peripheral("compressor", PeripheralClass.PLATFORM,
-                                 hw_init_ns=msec(80), driver="compressor_drv"),
-        "door-display": Peripheral("door-display", PeripheralClass.DISPLAY,
-                                   hw_init_ns=msec(40), driver="panel_drv"),
-        "temp-sensors": Peripheral("temp-sensors", PeripheralClass.INPUT,
-                                   hw_init_ns=msec(20), driver="sensor_drv"),
-        "wifi": Peripheral("wifi", PeripheralClass.CONNECTIVITY,
-                           hw_init_ns=msec(55), driver="wifi_drv"),
-    }
     return HardwarePlatform(
         name="smart-fridge",
         cpu_cores=2,
         dram=DRAMModel(size_bytes=MiB(512)),
         storage=StorageDevice("appliance-emmc", seq_read_bps=MiB(60),
                               rand_read_bps=MiB(15), capacity_bytes=GiB(4)),
-        peripherals=peripherals,
     )
 
 

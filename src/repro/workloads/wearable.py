@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 
 from repro.hw.memory import DRAMModel
-from repro.hw.peripherals import Peripheral, PeripheralClass
 from repro.hw.platform import HardwarePlatform
 from repro.hw.storage import StorageDevice
 from repro.initsys.registry import UnitRegistry
@@ -23,23 +22,12 @@ WEARABLE_COMPLETION_UNITS = ("watchface.service",)
 
 def wearable_platform() -> HardwarePlatform:
     """Gear-like hardware: dual-core, 768 MiB DRAM, 4 GiB eMMC."""
-    peripherals = {
-        "display-panel": Peripheral("display-panel", PeripheralClass.DISPLAY,
-                                    hw_init_ns=msec(30), driver="panel_drv"),
-        "touch": Peripheral("touch", PeripheralClass.INPUT, hw_init_ns=msec(10),
-                            driver="touch_drv"),
-        "heart-rate": Peripheral("heart-rate", PeripheralClass.CONNECTIVITY,
-                                 hw_init_ns=msec(45), driver="hr_drv"),
-        "bluetooth": Peripheral("bluetooth", PeripheralClass.CONNECTIVITY,
-                                hw_init_ns=msec(30), driver="bt_drv"),
-    }
     return HardwarePlatform(
         name="gear-like",
         cpu_cores=2,
         dram=DRAMModel(size_bytes=MiB(768)),
         storage=StorageDevice("wearable-emmc", seq_read_bps=MiB(80),
                               rand_read_bps=MiB(22), capacity_bytes=GiB(4)),
-        peripherals=peripherals,
     )
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.predict import (
     BootPrediction,
-    PREDICTION_TOLERANCE,
     compute_wall_ns,
     predict,
     predict_job,
@@ -73,7 +72,7 @@ def test_bb_group_reported_when_isolation_enabled():
 def test_more_cores_never_slower_on_presets():
     times = [predict(camera_workload(), BBConfig.none(),
                      cores=c).boot_complete_ns for c in (1, 2, 4)]
-    assert times[0] >= times[1] >= times[2] * (1 - PREDICTION_TOLERANCE)
+    assert times[0] >= times[1] >= times[2]
 
 
 def test_critical_path_lower_bounds_services_phase():

@@ -53,14 +53,6 @@ def test_from_report_covers_transaction():
     assert len(chart.bars) > 100
 
 
-def test_from_tracer_uses_service_spans():
-    simulation = BootSimulation(opensource_tv_workload(), BBConfig.full())
-    simulation.run()
-    chart = BootChart.from_tracer(simulation.sim.tracer)
-    assert chart.boot_complete_ns is not None
-    assert any(b.name == "dbus.service" for b in chart.bars)
-
-
 def test_ascii_render_shape():
     text = render_ascii(make_chart(), width=60)
     lines = text.splitlines()

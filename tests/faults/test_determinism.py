@@ -46,15 +46,15 @@ def test_warm_cache_equals_fresh_run(tmp_path):
 def test_same_plan_same_report_bytes():
     job = SimJob.boot(opensource_tv_workload, bb=BBConfig.full(),
                       fault_plan=build_preset("flaky-services", 3))
-    first = SweepRunner().run_one(job)
-    second = SweepRunner().run_one(job)
+    first = SweepRunner().run([job])[0]
+    second = SweepRunner().run([job])[0]
     assert report_to_json(first) == report_to_json(second)
 
 
 def test_different_seed_changes_the_outcome():
     reports = [
-        SweepRunner().run_one(SimJob.boot(
+        SweepRunner().run([SimJob.boot(
             opensource_tv_workload, bb=BBConfig.full(),
-            fault_plan=build_preset("flaky-services", seed)))
+            fault_plan=build_preset("flaky-services", seed))])[0]
         for seed in (1, 2)]
     assert reports[0].failed_units != reports[1].failed_units

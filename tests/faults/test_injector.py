@@ -105,7 +105,6 @@ class TestDecisions:
     def test_stats_as_dict_matches_fields(self):
         injector = BootFaultInjector(_plan())
         tally = injector.stats.as_dict()
-        assert tally["service_failures"] == 0
-        assert injector.stats.total_events() == 0
+        assert not any(tally.values())
         injector.stats.service_failures = 3
-        assert injector.stats.total_events() == 3
+        assert injector.stats.as_dict()["service_failures"] == 3

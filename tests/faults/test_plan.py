@@ -57,7 +57,6 @@ class TestValueSemantics:
         plan = FaultPlan(services=(ServiceFault(unit="a.service"),),
                          deferred=(DeferredFault(),))
         assert not plan.empty
-        assert plan.spec_count() == 2
 
     def test_plans_pickle_roundtrip(self):
         for name in PRESETS:

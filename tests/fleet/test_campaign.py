@@ -112,6 +112,29 @@ class TestIdentityOracle:
         for mismatch, prefix in zip(result.mismatches, expected):
             assert mismatch.startswith(prefix), mismatch
 
+    def test_code_version_skew_is_named_once(self, monkeypatch):
+        # A service started from another source tree salts every
+        # fingerprint differently, so every ticket would differ: the
+        # campaign names the cause in one line instead.
+        from repro.fleet import service
+        from repro.runner.jobs import code_version
+
+        submit = FleetClient.submit_with_retry
+
+        async def skewed(self, *args, **kwargs):
+            outcome = await submit(self, *args, **kwargs)
+            _swap_first_and_last(outcome)
+            return outcome
+
+        monkeypatch.setattr(FleetClient, "submit_with_retry", skewed)
+        monkeypatch.setattr(service, "code_version",
+                            lambda: "0123456789abcdef")
+        result = run_campaign(smoke=True, total_jobs=16, max_workers=1)
+        assert result.identical is False
+        assert result.mismatches == [
+            "code version skew: the fleet service runs 0123456789abcdef, "
+            f"this client {code_version()}"]
+
     @pytest.mark.slow
     def test_external_mode_against_a_served_process(self):
         port = _free_port()

@@ -19,33 +19,10 @@ def test_ue48h6200_matches_paper_spec():
     assert board.storage.capacity_bytes == GiB(8)
 
 
-def test_tv_has_broadcast_path_peripherals():
-    board = ue48h6200()
-    for name in ("tuner", "demux", "video-decoder", "display-panel", "remote-receiver"):
-        assert board.peripheral(name).name == name
-
-
-def test_boot_critical_split_for_tv():
-    board = ue48h6200()
-    critical = {p.name for p in board.boot_critical_peripherals()}
-    deferrable = {p.name for p in board.deferrable_peripherals()}
-    assert "tuner" in critical
-    assert "display-panel" in critical
-    assert "usb" in deferrable
-    assert "wifi" in deferrable
-    assert critical.isdisjoint(deferrable)
-    assert critical | deferrable == set(board.peripherals)
-
-
-def test_unknown_peripheral_raises():
-    with pytest.raises(HardwareError, match="no peripheral"):
-        ue48h6200().peripheral("flux-capacitor")
-
-
 def test_presets_return_fresh_objects():
     a, b = ue48h6200(), ue48h6200()
     assert a.storage is not b.storage
-    assert a.peripherals is not b.peripherals
+    assert a.dram is not b.dram
 
 
 def test_attach_binds_storage():
@@ -70,8 +47,8 @@ def test_galaxy_s6_preset_background_figures():
 
 def test_nx300_is_a_camera():
     camera = nx300()
-    assert "lens" in camera.peripherals
-    assert "sensor" in camera.peripherals
+    assert camera.name == "NX300"
+    assert camera.storage.name == "eMMC-camera"
     assert camera.cpu_cores == 2
 
 

@@ -122,3 +122,17 @@ def test_negative_size_rejected():
 def test_invalid_throughput_rejected():
     with pytest.raises(HardwareError):
         StorageDevice("bad", seq_read_bps=0, rand_read_bps=MiB(1))
+
+
+def test_write_time_slower_than_read():
+    device = emmc_ue48h6200()
+    nbytes = MiB(10)
+    assert device.write_time_ns(nbytes) > device.read_time_ns(nbytes)
+    assert device.write_time_ns(nbytes, AccessPattern.RANDOM) > \
+        device.write_time_ns(nbytes, AccessPattern.SEQUENTIAL)
+
+
+def test_default_write_throughput_is_half_of_read():
+    device = emmc_ue48h6200()
+    assert device.seq_write_bps == device.seq_read_bps // 2
+    assert device.rand_write_bps == device.rand_read_bps // 2

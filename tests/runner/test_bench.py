@@ -8,7 +8,6 @@ from repro.runner.bench import (BOOT_CASES, _drive_queue, bench_cache,
                                 bench_checkpoint, bench_design_space,
                                 bench_event_queue, bench_fleet, build_record,
                                 checkpoint_matrix, write_record)
-from repro.runner.branch import BACKEND_REPLAY
 from repro.sim.events import EventQueue
 
 
@@ -36,9 +35,8 @@ def test_checkpoint_matrix_shares_one_prefix():
 
 
 def test_checkpoint_benchmark_outputs_identical():
-    result = bench_checkpoint(cells=8, backend=BACKEND_REPLAY)
+    result = bench_checkpoint(cells=8)
     assert result["cells"] == 8
-    assert result["backend"] == BACKEND_REPLAY
     assert result["outputs_identical"] is True
     assert result["speedup"] > 0
     assert result["runner"]["branched"] == 8

@@ -2,13 +2,14 @@
 
 The branch engine is only allowed to exist because it is invisible:
 every branched cell must be canonically byte-identical to a from-scratch
-run of the same job.  These tests pin that contract for both backends,
-plus the fingerprint factoring and partitioning rules that route jobs
-into it.
+run of the same job.  These tests pin that contract at one and two fork
+children, plus the fingerprint factoring and partitioning rules that
+route jobs into it.
 """
 
 import os
 import pickle
+import threading
 
 import pytest
 
@@ -19,11 +20,8 @@ from repro.faults import (DeferredFault, FaultPlan, PathFault, ServiceFault,
                           SettleFault, StorageFault)
 from repro.runner import (BranchRunner, SimJob, SweepRunner,
                           canonical_bytes, execute_job)
-from repro.runner.branch import BACKEND_FORK, BACKEND_REPLAY
 from repro.workloads import opensource_tv_workload
 from repro.workloads.tizen_tv import perturbed_tv_workload
-
-BACKENDS = [BACKEND_REPLAY, BACKEND_FORK]
 
 
 def _boot(plan=None, **kwargs):
@@ -105,7 +103,7 @@ class TestBranchability:
         assert prefix.prefix_fingerprint() == job.prefix_fingerprint()
 
     def test_partition_routes_small_groups_to_rest(self):
-        runner = BranchRunner(backend=BACKEND_REPLAY, min_group=3)
+        runner = BranchRunner(min_group=3)
         entries = [(job.fingerprint(), job) for job in _matrix_jobs()[:2]]
         entries.append((SimJob.recover(opensource_tv_workload).fingerprint(),
                         SimJob.recover(opensource_tv_workload)))
@@ -118,15 +116,17 @@ class TestBranchability:
             SimJob.boot(opensource_tv_workload, bb=BBConfig.none()),
             SimJob.boot(perturbed_tv_workload, 0, 0.3, bb=BBConfig.full()),
         ]
-        runner = BranchRunner(backend=BACKEND_REPLAY, min_group=3)
+        runner = BranchRunner(min_group=3)
         groups, rest = runner.partition(
             [(job.fingerprint(), job) for job in jobs])
         assert [len(g) for g in groups] == [len(_matrix_jobs())]
         assert len(rest) == 2
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError):
-            BranchRunner(backend="teleport")
+        # A checkpoint is a fork: "replay" names no backend either.
+        for backend in ("teleport", "replay"):
+            with pytest.raises(SimulationError, match=backend):
+                SweepRunner(branch=True, branch_backend=backend)
 
 
 @pytest.fixture(scope="module")
@@ -136,11 +136,10 @@ def scratch_results():
 
 
 class TestBranchIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_branched_equals_scratch(self, backend, workers, scratch_results):
+    def test_branched_equals_scratch(self, workers, scratch_results):
         jobs = _matrix_jobs()
-        runner = BranchRunner(backend=backend, jobs=workers, min_group=2)
+        runner = BranchRunner(jobs=workers, min_group=2)
         groups, rest = runner.partition(
             [(job.fingerprint(), job) for job in jobs])
         assert rest == []
@@ -152,12 +151,8 @@ class TestBranchIdentity:
         assert runner.stats.no_divergence == 2  # null cell + inert settle
         assert runner.stats.branched == len(jobs)
         assert runner.stats.fallbacks == 0
-        if backend == BACKEND_FORK:
-            assert runner.stats.forked == len(jobs) - 2
-            assert runner.stats.prefix_boots == 1
-        else:
-            assert runner.stats.replayed == len(jobs) - 2
-            assert runner.stats.prefix_boots == len(jobs)
+        assert runner.stats.forked == len(jobs) - 2
+        assert runner.stats.prefix_boots == 1
 
     def test_cells_fork_at_their_first_perturbed_query(self, monkeypatch):
         # The storage cell branches at a storage request, and the two
@@ -182,7 +177,7 @@ class TestBranchIdentity:
         monkeypatch.setattr(branch._Trunk, "_observe", recording_observe)
         monkeypatch.setattr(branch._ForkPool, "fork", recording_fork)
         jobs = _matrix_jobs()
-        runner = BranchRunner(backend=BACKEND_FORK, min_group=2)
+        runner = BranchRunner(min_group=2)
         runner.run_group([(job.fingerprint(), job) for job in jobs])
         assert len(forked_at) == len(jobs) - 2
         logger_fail, logger_hang = jobs[1], jobs[7]
@@ -227,7 +222,7 @@ class TestBranchIdentity:
 
         monkeypatch.setattr(BootSimulation, "install_plan", failing_install)
         monkeypatch.setattr(os, "fork", recording_fork)
-        runner = BranchRunner(backend=BACKEND_FORK, jobs=2, min_group=2)
+        runner = BranchRunner(jobs=2, min_group=2)
         results = runner.run_group([(job.fingerprint(), job) for job in jobs])
         monkeypatch.undo()
         for fingerprint, branched in results.items():
@@ -255,7 +250,7 @@ class TestBranchIdentity:
 
         monkeypatch.setattr(BootSimulation, "_build_report", degrading_trunk)
         jobs = _matrix_jobs()
-        runner = BranchRunner(backend=BACKEND_FORK, min_group=2)
+        runner = BranchRunner(min_group=2)
         results = runner.run_group([(job.fingerprint(), job) for job in jobs])
         for fingerprint, branched in results.items():
             assert (canonical_bytes(branched)
@@ -269,30 +264,66 @@ class TestSweepIntegration:
         return _matrix_jobs() + [_boot(FaultPlan(seed=31, paths=(
             PathFault(path="/dev/branch_test", delay_ns=50_000_000),)))]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_branched_sweep_matches_plain_sweep(self, backend):
+    def test_branched_sweep_matches_plain_sweep(self):
         jobs = self._jobs_with_fallback()
         plain = SweepRunner(jobs=1).run(jobs)
-        runner = SweepRunner(jobs=1, branch=True, branch_backend=backend,
-                             min_branch_group=2)
+        runner = SweepRunner(jobs=1, branch=True, min_branch_group=2)
         branched = runner.run(jobs)
         assert len(branched) == len(plain)
         for a, b in zip(branched, plain):
             assert canonical_bytes(a) == canonical_bytes(b)
         assert runner.stats.branched == len(jobs) - 1
         assert runner.stats.executed == 1  # the structural paths cell
-        assert runner.stats.prefix_boots >= 1
+        assert runner.stats.prefix_boots == 1
 
     def test_fork_backend_pays_one_trunk_per_group(self):
-        runner = SweepRunner(jobs=1, branch=True, branch_backend=BACKEND_FORK,
+        # The name the benchmark passes still selects the one backend.
+        runner = SweepRunner(jobs=1, branch=True, branch_backend="fork",
                              min_branch_group=2)
         runner.run(_matrix_jobs())
         assert runner.stats.prefix_boots == 1
 
+    def test_without_fork_groups_run_from_scratch(self, monkeypatch):
+        jobs = self._jobs_with_fallback()
+        plain = SweepRunner(jobs=1).run(jobs)
+        monkeypatch.delattr(os, "fork")
+        runner = SweepRunner(jobs=1, branch=True, min_branch_group=2)
+        branched = runner.run(jobs)
+        assert ([canonical_bytes(result) for result in branched]
+                == [canonical_bytes(result) for result in plain])
+        assert runner.stats.prefix_boots == 0
+        assert runner.stats.branched == 0
+        assert runner.stats.executed == len(jobs)
+
+    def test_branch_forks_see_one_thread_after_a_pooled_batch(
+            self, monkeypatch):
+        # A runner keeps its worker pool across calls; its management and
+        # feeder threads must be gone before a branched group forks.
+        from repro.runner import branch
+
+        threads_at_fork = []
+
+        class _Os:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def fork(self):
+                threads_at_fork.append(threading.active_count())
+                return os.fork()
+
+        monkeypatch.setattr(branch, "os", _Os())
+        jobs = _matrix_jobs()
+        with SweepRunner(jobs=2, branch=True, min_branch_group=2) as runner:
+            runner.run([SimJob.boot(opensource_tv_workload, cores=cores)
+                        for cores in (1, 2)])
+            assert threading.active_count() > 1  # the pool's threads
+            branched = runner.run(jobs)
+        assert threads_at_fork == [1] * (len(jobs) - 2)
+        assert runner.stats.branched == len(jobs)
+        assert len(branched) == len(jobs)
+
     def test_branch_results_enter_the_cache(self):
-        runner = SweepRunner(jobs=1, branch=True,
-                             branch_backend=BACKEND_REPLAY,
-                             min_branch_group=2)
+        runner = SweepRunner(jobs=1, branch=True, min_branch_group=2)
         jobs = _matrix_jobs()
         runner.run(jobs)
         again = runner.run(jobs)

@@ -69,8 +69,8 @@ class TestDedupAndCache:
     def test_cache_hit_equals_fresh_run(self):
         job = SimJob.boot(opensource_tv_workload, bb=BBConfig.full())
         runner = SweepRunner()
-        first = runner.run_one(job)
-        second = runner.run_one(job)
+        first = runner.run([job])[0]
+        second = runner.run([job])[0]
         assert runner.stats.executed == 1
         assert runner.stats.cache_hits == 1
         assert second == first == execute_job(job)
@@ -78,24 +78,24 @@ class TestDedupAndCache:
     def test_cache_hit_is_isolated_from_mutation(self):
         job = SimJob.boot(opensource_tv_workload, bb=BBConfig.full())
         runner = SweepRunner()
-        first = runner.run_one(job)
+        first = runner.run([job])[0]
         first.unit_ready_ns.clear()
-        second = runner.run_one(job)
+        second = runner.run([job])[0]
         assert second.unit_ready_ns
 
     def test_changed_config_misses_cache(self):
         runner = SweepRunner()
-        runner.run_one(SimJob.boot(opensource_tv_workload, bb=BBConfig.full()))
-        runner.run_one(SimJob.boot(
+        runner.run([SimJob.boot(opensource_tv_workload, bb=BBConfig.full())])
+        runner.run([SimJob.boot(
             opensource_tv_workload,
-            bb=BBConfig.full().with_feature("preparser", False)))
+            bb=BBConfig.full().with_feature("preparser", False))])
         assert runner.stats.executed == 2
         assert runner.stats.cache_hits == 0
 
     def test_changed_seed_misses_cache(self):
         runner = SweepRunner()
-        runner.run_one(SimJob.boot(perturbed_tv_workload, 0, 0.3))
-        runner.run_one(SimJob.boot(perturbed_tv_workload, 1, 0.3))
+        runner.run([SimJob.boot(perturbed_tv_workload, 0, 0.3)])
+        runner.run([SimJob.boot(perturbed_tv_workload, 1, 0.3)])
         assert runner.stats.executed == 2
         assert runner.stats.cache_hits == 0
 
@@ -111,12 +111,12 @@ class TestDiskCache:
     def test_disk_cache_survives_processes(self, tmp_path):
         job = SimJob.boot(opensource_tv_workload, bb=BBConfig.none())
         first_runner = SweepRunner(cache=ResultCache(tmp_path))
-        first = first_runner.run_one(job)
+        first = first_runner.run([job])[0]
         assert first_runner.stats.executed == 1
 
         # A brand-new runner (fresh memory) must hit the disk layer.
         second_runner = SweepRunner(cache=ResultCache(tmp_path))
-        second = second_runner.run_one(job)
+        second = second_runner.run([job])[0]
         assert second_runner.stats.executed == 0
         assert second_runner.cache.stats.disk_hits == 1
         assert second == first
@@ -125,7 +125,7 @@ class TestDiskCache:
         job = SimJob.boot(opensource_tv_workload, bb=BBConfig.none())
         (tmp_path / f"{job.fingerprint()}.pkl").write_bytes(b"not a pickle")
         runner = SweepRunner(cache=ResultCache(tmp_path))
-        report = runner.run_one(job)
+        report = runner.run([job])[0]
         assert runner.stats.executed == 1
         assert report.boot_complete_ms > 0
 

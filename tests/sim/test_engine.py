@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import SimulationError
 from repro.quantities import msec
 from repro.sim import Compute, Simulator, Timeout, Wait
 from repro.sim.events import EventQueue
@@ -214,27 +214,6 @@ def test_current_process_is_restored_after_a_nested_resume():
     sim.run()
     assert seen == [("waiter", "waiter"), ("firer", "firer")]
     assert sim.current_process is None
-
-
-def test_deadlock_detection_reports_blocked_processes():
-    sim = Simulator()
-
-    def stuck():
-        yield Wait(sim.completion("never"))
-
-    sim.spawn(stuck(), name="stuck-process")
-    with pytest.raises(DeadlockError, match="stuck-process"):
-        sim.run(check_deadlock=True)
-
-
-def test_daemon_does_not_trip_deadlock_detection():
-    sim = Simulator()
-
-    def daemon():
-        yield Wait(sim.completion("never"))
-
-    sim.spawn(daemon(), name="daemon", daemon=True)
-    sim.run(check_deadlock=True)  # must not raise
 
 
 def test_call_after_runs_plain_callback():

@@ -12,12 +12,6 @@ def test_everything_derives_from_repro_error():
             assert issubclass(obj, errors.ReproError) or obj is errors.ReproError
 
 
-def test_deadlock_error_lists_blocked():
-    exc = errors.DeadlockError(["a.service", "b.service"])
-    assert "a.service" in str(exc)
-    assert exc.blocked == ["a.service", "b.service"]
-
-
 def test_unit_parse_error_location():
     exc = errors.UnitParseError("bad key", filename="x.service", lineno=7)
     assert "x.service:7" in str(exc)

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.quantities import (GiB, KiB, MiB, format_bytes, format_ns, msec,
-                              sec, to_mib, to_msec, to_sec, transfer_time_ns,
-                              usec)
+from repro.quantities import (GiB, KiB, MiB, format_ns, msec, sec, to_msec,
+                              to_sec, transfer_time_ns, usec)
 
 
 def test_time_conversions_round_trip():
@@ -24,7 +23,6 @@ def test_size_conversions():
     assert KiB(1) == 1024
     assert MiB(1) == 1024 ** 2
     assert GiB(1) == 1024 ** 3
-    assert to_mib(MiB(117)) == 117.0
 
 
 def test_transfer_time_exact():
@@ -51,10 +49,3 @@ def test_format_ns_units():
     assert format_ns(msec(461)) == "461.0 ms"
     assert format_ns(usec(1.5)) == "1.500 us"
     assert format_ns(12) == "12 ns"
-
-
-def test_format_bytes_units():
-    assert format_bytes(GiB(8)) == "8.00 GiB"
-    assert format_bytes(MiB(10)) == "10.00 MiB"
-    assert format_bytes(KiB(64)) == "64.00 KiB"
-    assert format_bytes(100) == "100 B"

@@ -1,6 +1,5 @@
 """The ``branch-identity`` group names the cell a branched run got wrong."""
 
-from repro.runner.branch import BACKEND_REPLAY
 from repro.runner.sweep import SweepRunner
 from repro.verify import branch as branch_identity
 
@@ -15,13 +14,12 @@ def test_planted_mismatch_names_the_cell(monkeypatch):
         return results
 
     monkeypatch.setattr(SweepRunner, "run", planting)
-    monkeypatch.setattr(branch_identity, "backend_configs",
-                        lambda smoke: [(BACKEND_REPLAY, 1)])
+    monkeypatch.setattr(branch_identity, "worker_counts", lambda smoke: [1])
     violations, _boots, checks = branch_identity.check_branch_identity(
         smoke=True)
     assert checks == len(branch_identity.identity_matrix(smoke=True))
     assert len(violations) == 1, violations
-    assert violations[0].startswith("replay/jobs=1: cell 3 ("), violations
+    assert violations[0].startswith("fork/jobs=1: cell 3 ("), violations
     assert "seed=23" in violations[0]
     assert "branched payload differs from the serial replay" in violations[0]
 

@@ -88,3 +88,27 @@ def test_oracle_detects_a_slowed_device():
     sim.run()
     assert sim.now != oracles.expected_transfer_ns(1024 * 1024,
                                                    10_000_000, 0)
+
+
+def test_prediction_oracle_reports_a_one_ns_completion_drift(monkeypatch):
+    """The predictor is exact, so the oracle allows no band: a completion
+    time planted 1 ns late, with every unit time intact, is reported."""
+    from dataclasses import replace
+    from importlib import import_module
+
+    from repro.core.config import BBConfig
+    from repro.workloads import opensource_tv_workload
+
+    predict_module = import_module("repro.analysis.predict")
+    predict = predict_module.predict
+
+    def one_ns_late(*args, **kwargs):
+        prediction = predict(*args, **kwargs)
+        return replace(prediction,
+                       boot_complete_ns=prediction.boot_complete_ns + 1)
+
+    monkeypatch.setattr(predict_module, "predict", one_ns_late)
+    violations = oracles.check_prediction_matches_des(
+        opensource_tv_workload, bb=BBConfig.full(), cores=4)
+    assert len(violations) == 1, violations
+    assert "(delta 1 ns)" in violations[0]
